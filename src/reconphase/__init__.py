@@ -37,7 +37,6 @@ from .errors import (
     ReconphaseError,
 )
 from .liegroup import (
-    AlgebraElement,
     GroupElement,
     Rotation,
     TorusElement,
@@ -47,9 +46,7 @@ from .liegroup import (
     exp_so3,
     fold_projective,
     group_distance,
-    group_log,
     is_regular,
-    log_so3,
     projective_distance,
     torus_coords,
     torus_element,
@@ -88,9 +85,7 @@ from .reconstruct import (
     PhaseResult,
     delta,
     delta_from_axis,
-    eta_from_phase,
     flower_frame,
-    frequencies,
     frequency_mismatch,
     phase,
     reduced_orbit_distance,

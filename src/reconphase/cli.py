@@ -33,7 +33,7 @@ from .errors import (
     ReconphaseError,
 )
 from .integrate import export_csv, flow, flow_trajectory
-from .reconstruct import PhaseResult, phase, torus_embed
+from .reconstruct import phase, torus_embed
 from .verify import ALL_CHECKS, sample_points
 
 # a period-continuity check needs a one-parameter family, not i.i.d.

@@ -68,7 +68,6 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .liegroup import (
-    E3,
     SO3,
     S1XSO3,
     GroupElement,

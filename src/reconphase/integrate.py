@@ -106,11 +106,6 @@ class Trajectory:
         return self.spec.unpack(self.eval_y(t))
 
 
-def dense_eval(traj: Trajectory, t: float) -> PhasePoint:
-    """Interpolated state at time t (within the trajectory span)."""
-    return traj.eval(t)
-
-
 class _Marcher:
     """Forward march of the packed ODE with per-step quaternion fixing."""
 

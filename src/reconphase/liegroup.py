@@ -8,7 +8,7 @@ Conventions (used consistently everywhere in the package):
   canonicalized so that ``w > 0``, or ``w == 0`` and the first nonzero
   vector component is positive.  With that convention the rotation
   angle returned by :meth:`Rotation.angle` always lies in ``[0, pi]``.
-* ``exp_so3`` / ``log_so3`` use the principal branch: the logarithm of
+* ``exp_so3`` / :meth:`Rotation.log` use the principal branch: the logarithm of
   a rotation is ``angle * axis`` with ``angle`` in ``[0, pi]``; at
   ``angle == pi`` the axis sign follows the quaternion canonicalization.
 * The compact group is either ``"s1xso3"`` (circle times rotations,
@@ -189,11 +189,6 @@ def exp_so3(omega) -> Rotation:
     return Rotation(np.array([math.cos(h), *((math.sin(h) / theta) * omega)]))
 
 
-def log_so3(rot: Rotation) -> np.ndarray:
-    """Principal logarithm of a rotation (see :meth:`Rotation.log`)."""
-    return rot.log()
-
-
 def hat(omega) -> np.ndarray:
     """Skew matrix of a 3-vector: hat(w) @ v == cross(w, v)."""
     x, y, z = np.asarray(omega, dtype=float)
@@ -225,10 +220,6 @@ class GroupElement:
     def identity(group: str = S1XSO3) -> "GroupElement":
         return GroupElement(0.0, Rotation.identity(), group)
 
-    @staticmethod
-    def from_rotation(rot: Rotation, group: str = SO3) -> "GroupElement":
-        return GroupElement(0.0, rot, group)
-
     def compose(self, other: "GroupElement") -> "GroupElement":
         _require_same_group(self, other)
         return GroupElement(self.theta + other.theta, self.rot @ other.rot, self.group)
@@ -245,39 +236,6 @@ class GroupElement:
 def _require_same_group(a: GroupElement, b: GroupElement):
     if a.group != b.group:
         raise ValueError(f"group tags differ: {a.group!r} vs {b.group!r}")
-
-
-@dataclass(frozen=True)
-class AlgebraElement:
-    """Tangent vector at the identity: circle rate + rotation vector."""
-
-    theta_dot: float
-    omega: np.ndarray
-    group: str = S1XSO3
-
-    def __post_init__(self):
-        torus_rank(self.group)
-        omega = np.asarray(self.omega, dtype=float)
-        if omega.shape != (3,):
-            raise ValueError("omega must have shape (3,)")
-        if self.group == SO3 and self.theta_dot != 0.0:
-            raise ValueError("so3 algebra elements carry no circle rate")
-        object.__setattr__(self, "omega", omega)
-
-    def exp(self) -> GroupElement:
-        return GroupElement(self.theta_dot, exp_so3(self.omega), self.group)
-
-    def scaled(self, c: float) -> "AlgebraElement":
-        return AlgebraElement(c * self.theta_dot, c * self.omega, self.group)
-
-
-def group_log(g: GroupElement) -> AlgebraElement:
-    """Principal logarithm: circle angle folded to (-pi, pi], rotation on
-    the principal branch."""
-    th = g.theta
-    if th > math.pi:
-        th -= TWO_PI
-    return AlgebraElement(th, g.rot.log(), g.group)
 
 
 def conj(g: GroupElement, h: GroupElement) -> GroupElement:
@@ -361,9 +319,6 @@ class TorusElement:
                 raise ValueError("group tags differ")
             return TorusElement(self.beta + other.beta, self.group)
         return TorusElement(self.beta + np.asarray(other, dtype=float), self.group)
-
-    def scaled(self, c: float) -> "TorusElement":
-        return TorusElement(c * self.beta, self.group)
 
 
 def torus_coords(g: GroupElement, tol: float = 1e-10) -> TorusElement:

@@ -164,22 +164,6 @@ def phase(
     )
 
 
-def eta_from_phase(p: PhaseResult) -> TorusElement:
-    """Lattice coordinates of the phase conjugated into the reference
-    torus; defined modulo Z^r (branch documented in the module doc)."""
-    if not p.regular:
-        raise DomainError("eta is only defined for a regular phase")
-    return torus_coords(conj(p.conjugator, p.gamma), tol=1e-8)
-
-
-def frequencies(p: PhaseResult) -> np.ndarray:
-    """(1/tau, eta_1/tau, ..., eta_r/tau); canonical modulo (1/tau) Z in
-    the eta slots."""
-    if not p.regular:
-        raise DomainError("frequencies are only defined for a regular phase")
-    return np.concatenate([[1.0 / p.tau], p.eta.beta / p.tau])
-
-
 def frequency_mismatch(f1, f2, tau: float) -> float:
     """Distance between frequency vectors modulo the branch lattice
     (1/tau) Z in the torus slots."""
@@ -211,15 +195,13 @@ def torus_embed(
     """Invariant-torus chart at m: the point with torus coordinates
     (alpha, beta).  (0, 0) maps to m; the flow acts linearly:
     flow(embed(alpha, beta), t) = embed(alpha + t/tau, beta + (t/tau) eta).
+    It is the flower frame at the element g_m^-1 Xi(beta) g_m of T_m.
     """
     if not p.regular:
         raise DomainError("torus embedding requires a regular phase")
     beta = beta.beta if isinstance(beta, TorusElement) else np.asarray(beta, float)
-    h_alpha = _conjugated_torus_element(p, alpha * p.eta.beta, spec.group)
-    m1 = act(h_alpha.inverse(), m)
-    m2 = flow(spec, m1, alpha * p.tau, rtol=rtol, atol=atol)
     h_beta = _conjugated_torus_element(p, beta, spec.group)
-    return act(h_beta, m2)
+    return flower_frame(spec, p, m, alpha, h_beta, rtol=rtol, atol=atol)
 
 
 def flower_frame(

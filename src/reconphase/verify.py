@@ -32,7 +32,6 @@ from scipy.optimize import brentq
 from .dynsys import (
     BALL,
     PhasePoint,
-    RIGID,
     SystemSpec,
     act,
     ball_point,
@@ -237,56 +236,71 @@ def sample_points(spec: SystemSpec, rng, n: int):
 # the named checks
 # ---------------------------------------------------------------------------
 
-def check_phase_conserved(spec, samples, tol, seed=None, fractions=(0.2, 0.7, 1.5, 3.1)) -> CheckReport:
-    """The phase is constant along the flow: recomputing it anywhere on
-    the orbit returns the same group element and the same period."""
-    t0 = time.perf_counter()
-    residuals, skipped = [], 0
-    for m in samples:
-        try:
-            p = phase(spec, m)
-            worst = 0.0
-            for frac in fractions:
-                pt = phase(spec, flow(spec, m, frac * p.tau))
-                worst = max(
-                    worst,
-                    abs(pt.tau - p.tau),
-                    group_distance(pt.gamma, p.gamma),
-                )
-            residuals.append(worst)
-        except PhaseInconsistencyError as e:
-            residuals.append(e.residual)
-        except _SKIP + (NotPeriodicError,):
-            skipped += 1
-    desc = f"{len(samples)} initial conditions x flow offsets {list(fractions)} of tau"
-    return _finish("phase_conserved", spec, desc, residuals, skipped, tol, seed, t0)
+def _run_check(name, spec, samples, tol, seed, desc, residual, base="torus",
+               **phase_kwargs) -> CheckReport:
+    """Shared driver of the sample checks: times the run, seeds the
+    check's own generator and applies the skip policy.
 
-
-def check_equivariance(spec, samples, tol, seed=None, n_group=5) -> CheckReport:
-    """Conjugation equivariance: the phase of a translated point is the
-    translated phase, gamma(g.m) = g gamma(m) g^-1."""
+    ``residual(m, p, rng)`` returns the worst residual of one sample, with
+    ``p`` the base phase of m (computed with ``phase_kwargs``), or None
+    when ``base`` is None.  A :class:`PhaseInconsistencyError` counts as
+    the sample's residual; a recoverable failure, or a singular base
+    phase when ``base == "torus"``, skips the sample.
+    """
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     residuals, skipped = [], 0
     for m in samples:
         try:
-            p = phase(spec, m)
-            worst = 0.0
-            for _ in range(n_group):
-                g = _random_group_element(spec, rng)
-                pg = phase(spec, act(g, m))
-                worst = max(
-                    worst,
-                    abs(pg.tau - p.tau),
-                    group_distance(pg.gamma, conj(g, p.gamma)),
-                )
-            residuals.append(worst)
+            p = None if base is None else phase(spec, m, **phase_kwargs)
+            if base == "torus" and not p.regular:
+                skipped += 1
+                continue
+            residuals.append(residual(m, p, rng))
         except PhaseInconsistencyError as e:
             residuals.append(e.residual)
         except _SKIP + (NotPeriodicError,):
             skipped += 1
+    return _finish(name, spec, desc, residuals, skipped, tol, seed, t0)
+
+
+def check_phase_conserved(spec, samples, tol, seed=None, fractions=(0.2, 0.7, 1.5, 3.1)) -> CheckReport:
+    """The phase is constant along the flow: recomputing it anywhere on
+    the orbit returns the same group element and the same period."""
+    def residual(m, p, rng):
+        worst = 0.0
+        for frac in fractions:
+            pt = phase(spec, flow(spec, m, frac * p.tau))
+            worst = max(
+                worst,
+                abs(pt.tau - p.tau),
+                group_distance(pt.gamma, p.gamma),
+            )
+        return worst
+
+    desc = f"{len(samples)} initial conditions x flow offsets {list(fractions)} of tau"
+    return _run_check("phase_conserved", spec, samples, tol, seed, desc, residual,
+                      base="phase")
+
+
+def check_equivariance(spec, samples, tol, seed=None, n_group=5) -> CheckReport:
+    """Conjugation equivariance: the phase of a translated point is the
+    translated phase, gamma(g.m) = g gamma(m) g^-1."""
+    def residual(m, p, rng):
+        worst = 0.0
+        for _ in range(n_group):
+            g = _random_group_element(spec, rng)
+            pg = phase(spec, act(g, m))
+            worst = max(
+                worst,
+                abs(pg.tau - p.tau),
+                group_distance(pg.gamma, conj(g, p.gamma)),
+            )
+        return worst
+
     desc = f"{len(samples)} initial conditions x {n_group} group elements"
-    return _finish("equivariance", spec, desc, residuals, skipped, tol, seed, t0)
+    return _run_check("equivariance", spec, samples, tol, seed, desc, residual,
+                      base="phase")
 
 
 def check_linearization(spec, samples, tol, seed=None, rtol=None, atol=None,
@@ -299,67 +313,47 @@ def check_linearization(spec, samples, tol, seed=None, rtol=None, atol=None,
     loosening) exist so a deliberately corrupted flow can be fed through
     the same code path as a negative control.
     """
-    t0 = time.perf_counter()
     alphas = (0.0, 1.0 / 3.0, 2.0 / 3.0)
     t_fracs = (0.15, 0.45, 0.75)
-    residuals, skipped = [], 0
-    for m in samples:
-        try:
-            p = phase(spec, m, rtol=rtol, atol=atol,
-                      tol_phase=tol_phase, tol_closure=tol_closure)
-            if not p.regular:
-                skipped += 1
-                continue
-            rank = p.eta.beta.size
-            betas = [np.zeros(rank), np.full(rank, 0.3), np.full(rank, 0.7)]
-            if rank == 2:
-                betas[2] = np.array([0.7, 0.2])
-            worst = 0.0
-            for al in alphas:
-                for be in betas:
-                    x = torus_embed(spec, p, m, al, be, rtol=rtol, atol=atol)
-                    for tf in t_fracs:
-                        lhs = flow(spec, x, tf * p.tau, rtol=rtol, atol=atol)
-                        rhs = torus_embed(
-                            spec, p, m, al + tf, be + tf * p.eta.beta,
-                            rtol=rtol, atol=atol,
-                        )
-                        worst = max(worst, state_distance(lhs, rhs))
-            residuals.append(worst)
-        except PhaseInconsistencyError as e:
-            residuals.append(e.residual)
-        except _SKIP + (NotPeriodicError,):
-            skipped += 1
+
+    def residual(m, p, rng):
+        rank = p.eta.beta.size
+        betas = [np.zeros(rank), np.full(rank, 0.3), np.full(rank, 0.7)]
+        if rank == 2:
+            betas[2] = np.array([0.7, 0.2])
+        worst = 0.0
+        for al in alphas:
+            for be in betas:
+                x = torus_embed(spec, p, m, al, be, rtol=rtol, atol=atol)
+                for tf in t_fracs:
+                    lhs = flow(spec, x, tf * p.tau, rtol=rtol, atol=atol)
+                    rhs = torus_embed(
+                        spec, p, m, al + tf, be + tf * p.eta.beta,
+                        rtol=rtol, atol=atol,
+                    )
+                    worst = max(worst, state_distance(lhs, rhs))
+        return worst
+
     desc = f"{len(samples)} initial conditions x 3x3x3 (alpha, beta, t) grid"
-    return _finish("linearization", spec, desc, residuals, skipped, tol, seed, t0)
+    return _run_check("linearization", spec, samples, tol, seed, desc, residual,
+                      rtol=rtol, atol=atol, tol_phase=tol_phase, tol_closure=tol_closure)
 
 
 def check_flower_invariants(spec, samples, tol, seed=None, n_frames=6) -> CheckReport:
     """Every flower frame J_m(alpha, g) lands on the reduced orbit of m:
     the flower projects to a single reduced periodic orbit."""
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
-    residuals, skipped = [], 0
-    for m in samples:
-        try:
-            p = phase(spec, m)
-            if not p.regular:
-                skipped += 1
-                continue
-            worst = 0.0
-            for _ in range(n_frames):
-                al = float(rng.uniform(0.0, 1.0))
-                g = _random_group_element(spec, rng)
-                x = flower_frame(spec, p, m, al, g)
-                d, _ = reduced_orbit_distance(spec, p, x)
-                worst = max(worst, d)
-            residuals.append(worst)
-        except PhaseInconsistencyError as e:
-            residuals.append(e.residual)
-        except _SKIP + (NotPeriodicError,):
-            skipped += 1
+    def residual(m, p, rng):
+        worst = 0.0
+        for _ in range(n_frames):
+            al = float(rng.uniform(0.0, 1.0))
+            g = _random_group_element(spec, rng)
+            x = flower_frame(spec, p, m, al, g)
+            d, _ = reduced_orbit_distance(spec, p, x)
+            worst = max(worst, d)
+        return worst
+
     desc = f"{len(samples)} initial conditions x {n_frames} random (alpha, g) frames"
-    return _finish("flower_invariants", spec, desc, residuals, skipped, tol, seed, t0)
+    return _run_check("flower_invariants", spec, samples, tol, seed, desc, residual)
 
 
 def check_delta_integral(spec, samples, tol, seed=None) -> CheckReport:
@@ -367,92 +361,67 @@ def check_delta_integral(spec, samples, tol, seed=None) -> CheckReport:
     along the flow, under torus translation, and by the petal-swapping
     Weyl flip; the flip itself lands on a different petal (binary
     violations count as residual 1)."""
-    t0 = time.perf_counter()
-    residuals, skipped = [], 0
-    for m in samples:
-        try:
-            p = phase(spec, m)
-            if not p.regular:
-                skipped += 1
-                continue
-            worst = 0.0
-            for frac in (0.35, 1.6):
-                pt = phase(spec, flow(spec, m, frac * p.tau))
-                worst = max(worst, projective_distance(pt.delta_rep, p.delta_rep))
-            rank = p.eta.beta.size
-            x = torus_embed(spec, p, m, 0.4, np.full(rank, 0.3))
-            px = phase(spec, x)
-            worst = max(worst, projective_distance(px.delta_rep, p.delta_rep))
-            m_w, _ = weyl_partner(spec, m, p)
-            pw = phase(spec, m_w)
-            worst = max(worst, projective_distance(pw.delta_rep, p.delta_rep))
-            if not same_petal(spec, m, x, p1=p, p2=px):
-                worst = max(worst, 1.0)
-            if same_petal(spec, m, m_w, p1=p, p2=pw):
-                worst = max(worst, 1.0)
-            residuals.append(worst)
-        except PhaseInconsistencyError as e:
-            residuals.append(e.residual)
-        except _SKIP + (NotPeriodicError,):
-            skipped += 1
+    def residual(m, p, rng):
+        worst = 0.0
+        for frac in (0.35, 1.6):
+            pt = phase(spec, flow(spec, m, frac * p.tau))
+            worst = max(worst, projective_distance(pt.delta_rep, p.delta_rep))
+        rank = p.eta.beta.size
+        x = torus_embed(spec, p, m, 0.4, np.full(rank, 0.3))
+        px = phase(spec, x)
+        worst = max(worst, projective_distance(px.delta_rep, p.delta_rep))
+        m_w, _ = weyl_partner(spec, m, p)
+        pw = phase(spec, m_w)
+        worst = max(worst, projective_distance(pw.delta_rep, p.delta_rep))
+        if not same_petal(spec, m, x, p1=p, p2=px):
+            worst = max(worst, 1.0)
+        if same_petal(spec, m, m_w, p1=p, p2=pw):
+            worst = max(worst, 1.0)
+        return worst
+
     desc = f"{len(samples)} initial conditions; flow/torus/Weyl transports"
-    return _finish("delta_integral", spec, desc, residuals, skipped, tol, seed, t0)
+    return _run_check("delta_integral", spec, samples, tol, seed, desc, residual)
 
 
 def check_frequency_flower_constancy(spec, samples, tol, seed=None, n_frames=4) -> CheckReport:
     """All points of one flower share the frequency vector (modulo the
     branch lattice): frequencies depend only on the reduced orbit."""
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
-    residuals, skipped = [], 0
-    for m in samples:
-        try:
-            p = phase(spec, m)
-            if not p.regular:
-                skipped += 1
+    def residual(m, p, rng):
+        worst = 0.0
+        for _ in range(n_frames):
+            al = float(rng.uniform(0.0, 1.0))
+            g = _random_group_element(spec, rng)
+            x = flower_frame(spec, p, m, al, g)
+            px = phase(spec, x)
+            if not px.regular:
                 continue
-            worst = 0.0
-            for _ in range(n_frames):
-                al = float(rng.uniform(0.0, 1.0))
-                g = _random_group_element(spec, rng)
-                x = flower_frame(spec, p, m, al, g)
-                px = phase(spec, x)
-                if not px.regular:
-                    continue
-                worst = max(
-                    worst,
-                    frequency_mismatch(px.frequencies, p.frequencies, p.tau),
-                )
-            residuals.append(worst)
-        except PhaseInconsistencyError as e:
-            residuals.append(e.residual)
-        except _SKIP + (NotPeriodicError,):
-            skipped += 1
+            worst = max(
+                worst,
+                frequency_mismatch(px.frequencies, p.frequencies, p.tau),
+            )
+        return worst
+
     desc = f"{len(samples)} initial conditions x {n_frames} flower frames"
-    return _finish(
-        "frequency_flower_constancy", spec, desc, residuals, skipped, tol, seed, t0
+    return _run_check(
+        "frequency_flower_constancy", spec, samples, tol, seed, desc, residual
     )
 
 
 def check_vf_invariance(spec, samples, tol, seed=None, n_group=5) -> CheckReport:
     """The vector field is symmetric: pushing it forward by any group
     element reproduces it at the translated point."""
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
-    residuals, skipped = [], 0
-    for m in samples:
-        try:
-            v = vector_field(m)
-            worst = 0.0
-            for _ in range(n_group):
-                g = _random_group_element(spec, rng)
-                diff = vector_field(act(g, m)) - d_act(g, m, v)
-                worst = max(worst, float(np.max(np.abs(diff))))
-            residuals.append(worst)
-        except _SKIP:
-            skipped += 1
+    def residual(m, p, rng):
+        v = vector_field(m)
+        worst = 0.0
+        for _ in range(n_group):
+            g = _random_group_element(spec, rng)
+            diff = vector_field(act(g, m)) - d_act(g, m, v)
+            worst = max(worst, float(np.max(np.abs(diff))))
+        return worst
+
     desc = f"{len(samples)} phase points x {n_group} group elements"
-    return _finish("vf_invariance", spec, desc, residuals, skipped, tol, seed, t0)
+    return _run_check("vf_invariance", spec, samples, tol, seed, desc, residual,
+                      base=None)
 
 
 def check_period_continuity(spec, family, tol=1.0, seed=None, jump_factor=10.0) -> CheckReport:
@@ -508,6 +477,19 @@ def measured_rotation_angle(p, m: PhasePoint) -> float:
     return (2.0 * math.atan2(float(qv @ mu_hat), qw)) % TWO_PI
 
 
+def _family_pole(inertia, u0) -> np.ndarray:
+    """The stable principal axis (+-e1 or +-e3, on u0's side) that the
+    unit momentum loop through u0 encircles; separatrix-adjacent loops
+    raise OracleUnavailableError."""
+    kappa = float(inertia[1] * (u0 @ (u0 / inertia)) - 1.0)
+    if abs(kappa) < 1e-3:
+        raise OracleUnavailableError(
+            f"momentum loop too close to the separatrix (margin {kappa:.2e})"
+        )
+    pole = E1 if kappa > 0 else E3
+    return pole if float(u0 @ pole) >= 0.0 else -pole
+
+
 def montgomery_oracle(inertia, m: PhasePoint, period: float = None,
                       quad_tol: float = 1e-9) -> float:
     """Predicted per-period rotation angle about the spatial momentum
@@ -537,15 +519,7 @@ def montgomery_oracle(inertia, m: PhasePoint, period: float = None,
         raise OracleUnavailableError("zero angular momentum")
     H = 0.5 * float(omega0 @ L_body)
     u0 = L_body / L
-    kappa = float(inertia[1] * (u0 @ (u0 / inertia)) - 1.0)
-
-    # family pole: the principal axis the momentum loop encircles
-    if abs(kappa) < 1e-3:
-        raise OracleUnavailableError(
-            f"momentum loop too close to the separatrix (margin {kappa:.2e})"
-        )
-    pole = E1 if kappa > 0 else E3
-    pole = pole if float(u0 @ pole) >= 0.0 else -pole
+    pole = _family_pole(inertia, u0)
 
     if np.linalg.norm(np.cross(u0, pole)) < 1e-12:
         # point loop: zero enclosed area by convention
@@ -569,13 +543,7 @@ def momentum_loop_area(inertia, m: PhasePoint, quad_tol: float = 1e-9,
     L_body = inertia * m.omega_body
     L = float(np.linalg.norm(L_body))
     u0 = L_body / L
-    kappa = float(inertia[1] * (u0 @ (u0 / inertia)) - 1.0)
-    if abs(kappa) < 1e-3:
-        raise OracleUnavailableError(
-            f"momentum loop too close to the separatrix (margin {kappa:.2e})"
-        )
-    pole = E1 if kappa > 0 else E3
-    pole = pole if float(u0 @ pole) >= 0.0 else -pole
+    pole = _family_pole(inertia, u0)
     sign = -1.0 if reverse else 1.0
 
     def u_rhs(t, u):

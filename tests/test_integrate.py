@@ -29,7 +29,6 @@ from reconphase.errors import (
 )
 from reconphase.integrate import (
     _period_search,
-    dense_eval,
     export_csv,
     find_reduced_period,
     flow,
@@ -131,7 +130,7 @@ def test_dense_eval_matches_tighter_reintegration(ball, mball):
     traj = flow_trajectory(ball, mball, 5.0, rtol=1e-10, atol=1e-12)
     k = len(traj.times) // 2
     tq = 0.5 * (traj.times[k] + traj.times[k + 1])
-    m_interp = dense_eval(traj, tq)
+    m_interp = traj.eval(tq)
     m_exact = flow(ball, mball, tq, rtol=1e-12, atol=1e-14)
     assert state_distance(m_interp, m_exact) < 1e-9
 
@@ -139,9 +138,9 @@ def test_dense_eval_matches_tighter_reintegration(ball, mball):
 def test_dense_eval_out_of_span(ball, mball):
     traj = flow_trajectory(ball, mball, 1.0)
     with pytest.raises(ValueError):
-        dense_eval(traj, 1.5)
+        traj.eval(1.5)
     with pytest.raises(ValueError):
-        dense_eval(traj, -0.1)
+        traj.eval(-0.1)
 
 
 # ----------------------------------------------------------------------

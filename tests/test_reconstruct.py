@@ -29,9 +29,7 @@ from reconphase.reconstruct import (
     PhaseResult,
     delta,
     delta_from_axis,
-    eta_from_phase,
     flower_frame,
-    frequencies,
     frequency_mismatch,
     phase,
     reduced_orbit_distance,
@@ -113,30 +111,25 @@ def test_eta_is_conjugated_lattice_coordinates(ball):
     assert p.eta.beta[0] == pytest.approx(p.gamma.theta / TWO_PI, abs=1e-12)
     assert p.eta.beta[1] == pytest.approx(p.gamma.rot.angle() / TWO_PI, abs=1e-12)
     assert 0.0 <= p.eta.beta[1] <= 0.5
-    np.testing.assert_allclose(eta_from_phase(p).beta, p.eta.beta, atol=1e-14)
+    np.testing.assert_allclose(
+        torus_coords(conj(p.conjugator, p.gamma)).beta, p.eta.beta, atol=1e-14
+    )
     # conj(g_m, gamma) must be in the reference torus at tight tolerance
     torus_coords(conj(p.conjugator, p.gamma), tol=1e-10)
 
 
 def test_frequency_vector_structure(ball):
     _, _, p = ball
-    f = frequencies(p)
+    f = p.frequencies
     assert f[0] == 1.0 / p.tau  # exact by construction
     np.testing.assert_allclose(f[1:], p.eta.beta / p.tau, atol=0)
-    np.testing.assert_allclose(p.frequencies, f, atol=0)
 
 
 def test_frequency_arithmetic_on_synthetic_phase():
-    # hand-built regular phase: quarter-turn about e3 with circle part pi,
-    # return time 2
+    # hand-built regular phase: quarter-turn about e3 with circle part pi
     gamma = GroupElement(math.pi, Rotation.from_axis_angle([0, 0, 1], math.pi / 2))
     eta = torus_coords(conj(GroupElement.identity(), gamma))
     np.testing.assert_allclose(eta.beta, [0.5, 0.25], atol=1e-15)
-    p = PhaseResult(
-        tau=2.0, gamma=gamma, regular=True, conjugator=GroupElement.identity(),
-        eta=eta, frequencies=None, delta_rep=None, residuals={},
-    )
-    np.testing.assert_allclose(frequencies(p), [0.5, 0.25, 0.125], atol=1e-15)
 
 
 def test_frequency_mismatch_wraps_branch_lattice():
@@ -145,18 +138,6 @@ def test_frequency_mismatch_wraps_branch_lattice():
     shifted = f + np.array([0.0, 3.0 / tau, -1.0 / tau])  # lattice shifts
     assert frequency_mismatch(f, shifted, tau) < 1e-15
     assert frequency_mismatch(f, f + np.array([0.0, 0.01, 0.0]), tau) > 5e-3
-
-
-def test_non_regular_phase_gates():
-    gamma = GroupElement(1.0, Rotation.identity())
-    p = PhaseResult(
-        tau=2.0, gamma=gamma, regular=False, conjugator=None, eta=None,
-        frequencies=None, delta_rep=None, residuals={},
-    )
-    with pytest.raises(DomainError):
-        eta_from_phase(p)
-    with pytest.raises(DomainError):
-        frequencies(p)
 
 
 def test_phase_rejects_foreign_spec(ball):
@@ -243,6 +224,18 @@ def test_torus_embed_flow_linearity_rigid(rigid):
     lhs = flow(spec, torus_embed(spec, p, m, 0.4, np.array([0.3])), 0.25 * p.tau)
     rhs = torus_embed(spec, p, m, 0.65, np.array([0.3]) + 0.25 * p.eta.beta)
     assert state_distance(lhs, rhs) < 1e-9
+
+
+@pytest.mark.parametrize("system", ["ball", "rigid"])
+def test_torus_embed_is_one_periodic_in_alpha(request, system):
+    # a full turn in alpha flows one period and undoes it with the phase
+    # conjugated into the torus, so the chart closes up on itself
+    spec, m, p = request.getfixturevalue(system)
+    beta = np.full(p.eta.beta.size, 0.3)
+    for alpha in (0.0, 0.4):
+        x = torus_embed(spec, p, m, alpha, beta)
+        x1 = torus_embed(spec, p, m, alpha + 1.0, beta)
+        assert state_distance(x1, x) < 1e-9
 
 
 def test_torus_embed_grid_injectivity(ball):

@@ -131,6 +131,23 @@ def test_empty_samples_are_inconclusive(ball_spec):
         assert rep.n_samples == 0
 
 
+def test_unperiodic_samples_are_skipped(rigid_spec, rigid_samples):
+    # a rigid relative equilibrium has no reduced period: every
+    # phase-based check skips it and scores the healthy sample alone
+    equilibrium = rigid_point(rigid_spec, Rotation.identity(), (0.9, 0.0, 0.0))
+    samples = [rigid_samples[0], equilibrium]
+    for name, fn in ALL_CHECKS.items():
+        if name == "period_continuity":
+            continue
+        rep = fn(rigid_spec, samples, 1.0, seed=0)
+        if name == "vf_invariance":
+            assert (rep.n_samples, rep.n_skipped) == (2, 0), name
+            continue
+        assert (rep.n_samples, rep.n_skipped) == (1, 1), name
+        alone = fn(rigid_spec, [equilibrium], 1.0, seed=0)
+        assert alone.verdict == "inconclusive", name
+
+
 # ---------------------------------------------------------------------------
 # the checks pass on healthy samples
 # ---------------------------------------------------------------------------
