@@ -26,6 +26,7 @@ import sys
 import numpy as np
 
 from . import config as cfg
+# act is unused here but stays importable: the benchmark tracer patches it
 from .dynsys import BALL, PhasePoint, SystemSpec, act, state_distance
 from .errors import (
     ConfigError,
@@ -174,10 +175,10 @@ def cmd_torus(resolved: dict, grid: int) -> int:
     for alpha in ticks:
         for beta_tuple in itertools.product(ticks, repeat=rank):
             beta = np.array(beta_tuple)
-            x = torus_embed(spec, p, m0, alpha, beta)
+            x = torus_embed(spec, p, alpha, beta)
             lhs = flow(spec, x, TORUS_PROBE * p.tau)
             rhs = torus_embed(
-                spec, p, m0, alpha + TORUS_PROBE, beta + TORUS_PROBE * p.eta.beta
+                spec, p, alpha + TORUS_PROBE, beta + TORUS_PROBE * p.eta.beta
             )
             resid = state_distance(lhs, rhs)
             worst = max(worst, resid)

@@ -13,9 +13,10 @@ a required ``system`` block::
 
 Resolution order for tolerance knobs (later wins): built-in defaults,
 config file, environment variables (``RECONPHASE_RTOL``,
-``RECONPHASE_ATOL``, ``RECONPHASE_TOL_CLOSURE``, ``RECONPHASE_TOL_PHASE``),
-command-line flags.  Every command embeds the fully resolved
-configuration in its output for provenance.
+``RECONPHASE_ATOL``, ``RECONPHASE_TOL_CLOSURE``, ``RECONPHASE_TOL_PHASE``).
+The command line sets no tolerance: its ``--seed`` and ``--out`` flags
+override ``sampling.seed`` and ``output.dir``.  Every command embeds the
+fully resolved configuration in its output for provenance.
 """
 
 from __future__ import annotations

@@ -133,10 +133,6 @@ class _Marcher:
                     f"domain exit at start: {e}", last_state=spec.unpack(y0), t=0.0
                 ) from e
 
-    @property
-    def finished(self) -> bool:
-        return self._finished
-
     def step(self):
         """Advance one accepted step; returns the new segment, or None
         when the time bound has been reached."""

@@ -313,13 +313,6 @@ class TorusElement:
             )
         object.__setattr__(self, "beta", beta)
 
-    def __add__(self, other):
-        if isinstance(other, TorusElement):
-            if other.group != self.group:
-                raise ValueError("group tags differ")
-            return TorusElement(self.beta + other.beta, self.group)
-        return TorusElement(self.beta + np.asarray(other, dtype=float), self.group)
-
 
 def torus_coords(g: GroupElement, tol: float = 1e-10) -> TorusElement:
     """Lattice coordinates of an element of the reference torus.

@@ -37,6 +37,7 @@ from scipy.optimize import minimize_scalar
 
 from .dynsys import BALL, PhasePoint, SystemSpec, act, state_distance
 from .errors import DomainError, PhaseInconsistencyError
+# flow is unused here but stays importable: the benchmark tracer patches it
 from .integrate import Trajectory, _period_search, flow
 from .liegroup import (
     E1,
@@ -184,43 +185,38 @@ def _conjugated_torus_element(p: PhaseResult, beta, group: str) -> GroupElement:
 
 
 def torus_embed(
-    spec: SystemSpec,
-    p: PhaseResult,
-    m: PhasePoint,
-    alpha: float,
-    beta,
-    rtol=None,
-    atol=None,
+    spec: SystemSpec, p: PhaseResult, alpha: float, beta
 ) -> PhasePoint:
-    """Invariant-torus chart at m: the point with torus coordinates
-    (alpha, beta).  (0, 0) maps to m; the flow acts linearly:
-    flow(embed(alpha, beta), t) = embed(alpha + t/tau, beta + (t/tau) eta).
-    It is the flower frame at the element g_m^-1 Xi(beta) g_m of T_m.
+    """Invariant-torus chart at the phase's basepoint m: the point with
+    torus coordinates (alpha, beta).  (0, 0) maps to m; the flow acts
+    linearly: flow(embed(alpha, beta), t) = embed(alpha + t/tau,
+    beta + (t/tau) eta).  It is the flower frame at the element
+    g_m^-1 Xi(beta) g_m of T_m.
     """
     if not p.regular:
         raise DomainError("torus embedding requires a regular phase")
-    beta = beta.beta if isinstance(beta, TorusElement) else np.asarray(beta, float)
-    h_beta = _conjugated_torus_element(p, beta, spec.group)
-    return flower_frame(spec, p, m, alpha, h_beta, rtol=rtol, atol=atol)
+    h_beta = _conjugated_torus_element(p, np.asarray(beta, float), spec.group)
+    return flower_frame(spec, p, alpha, h_beta)
 
 
 def flower_frame(
-    spec: SystemSpec,
-    p: PhaseResult,
-    m: PhasePoint,
-    alpha: float,
-    g: GroupElement,
-    rtol=None,
-    atol=None,
+    spec: SystemSpec, p: PhaseResult, alpha: float, g: GroupElement
 ) -> PhasePoint:
-    """Point of the flower through m with frame coordinates (alpha, g):
-    the g-translate of the alpha-transported petal basepoint."""
+    """Point of the flower through the phase's basepoint m with frame
+    coordinates (alpha, g): act(g h_alpha^-1, flow(m, alpha tau)), with
+    h_alpha = g_m^-1 Xi(alpha eta) g_m.
+
+    It is read off the period trajectory p already holds.  With
+    alpha = k + f (k integer, f in [0, 1)), flow(m, alpha tau) =
+    act(gamma^k, flow(m, f tau)), and gamma = g_m^-1 Xi(eta) g_m = h_1, so
+    h_alpha^-1 gamma^k = h_f^-1: no integration, the tolerance is the one
+    p was computed with, and the chart is one-periodic in alpha.
+    """
     if not p.regular:
         raise DomainError("the flower frame requires a regular phase")
-    h_alpha = _conjugated_torus_element(p, alpha * p.eta.beta, spec.group)
-    m1 = act(h_alpha.inverse(), m)
-    m2 = flow(spec, m1, alpha * p.tau, rtol=rtol, atol=atol)
-    return act(g, m2)
+    f = alpha % 1.0
+    h_f = _conjugated_torus_element(p, f * p.eta.beta, spec.group)
+    return act(g @ h_f.inverse(), p._trajectory.eval(f * p.tau))
 
 
 def delta(spec: SystemSpec, m: PhasePoint, p: PhaseResult = None) -> np.ndarray:
@@ -276,21 +272,21 @@ def weyl_partner(spec: SystemSpec, m: PhasePoint, p: PhaseResult = None):
 def reduced_orbit_distance(spec: SystemSpec, p: PhaseResult, m2: PhasePoint):
     """Minimum distance of reduce(m2) to the (periodic) reduced orbit
     recorded in p's trajectory, refined from a dense subsample.  Returns
-    (distance, argmin time in [0, tau])."""
+    (distance, argmin time in [0, tau)).  The reduced orbit closes at tau,
+    so times are read modulo tau and the refinement may cross the seam."""
     traj = p._trajectory
     y2r = spec.reduce_y(spec.pack(m2))
 
     def dist(t):
-        return float(np.linalg.norm(spec.reduce_y(traj.eval_y(t)) - y2r))
+        return float(np.linalg.norm(spec.reduce_y(traj.eval_y(t % p.tau)) - y2r))
 
     ts = np.linspace(0.0, p.tau, 512)
     ds = [dist(t) for t in ts]
     i = int(np.argmin(ds))
-    lo = ts[max(0, i - 1)]
-    hi = ts[min(len(ts) - 1, i + 1)]
-    res = minimize_scalar(dist, bounds=(lo, hi), method="bounded",
+    h = ts[1]
+    res = minimize_scalar(dist, bounds=(ts[i] - h, ts[i] + h), method="bounded",
                           options={"xatol": 1e-13})
-    return float(res.fun), float(res.x)
+    return float(res.fun), float(res.x % p.tau)
 
 
 def same_petal(

@@ -71,6 +71,9 @@ from .reconstruct import (
 
 TWO_PI = 2.0 * math.pi
 
+# agreement of two successive trapezoid levels of the oracle's solid angle
+_QUAD_TOL = 1e-9
+
 # recoverable per-sample failures: the sample is skipped, not the check
 _SKIP = (PeriodNotFoundError, DomainError, IntegrationError)
 
@@ -311,7 +314,9 @@ def check_linearization(spec, samples, tol, seed=None, rtol=None, atol=None,
 
     ``rtol``/``atol`` (with matching ``tol_closure``/``tol_phase``
     loosening) exist so a deliberately corrupted flow can be fed through
-    the same code path as a negative control.
+    the same code path as a negative control.  They set the integration
+    of the base phase, whose period trajectory every chart point is read
+    from, and of the fresh flow on the left-hand side of the square.
     """
     alphas = (0.0, 1.0 / 3.0, 2.0 / 3.0)
     t_fracs = (0.15, 0.45, 0.75)
@@ -324,13 +329,10 @@ def check_linearization(spec, samples, tol, seed=None, rtol=None, atol=None,
         worst = 0.0
         for al in alphas:
             for be in betas:
-                x = torus_embed(spec, p, m, al, be, rtol=rtol, atol=atol)
+                x = torus_embed(spec, p, al, be)
                 for tf in t_fracs:
                     lhs = flow(spec, x, tf * p.tau, rtol=rtol, atol=atol)
-                    rhs = torus_embed(
-                        spec, p, m, al + tf, be + tf * p.eta.beta,
-                        rtol=rtol, atol=atol,
-                    )
+                    rhs = torus_embed(spec, p, al + tf, be + tf * p.eta.beta)
                     worst = max(worst, state_distance(lhs, rhs))
         return worst
 
@@ -340,14 +342,17 @@ def check_linearization(spec, samples, tol, seed=None, rtol=None, atol=None,
 
 
 def check_flower_invariants(spec, samples, tol, seed=None, n_frames=6) -> CheckReport:
-    """Every flower frame J_m(alpha, g) lands on the reduced orbit of m:
-    the flower projects to a single reduced periodic orbit."""
+    """Every flower frame J_m(alpha, g), carried on by a fresh flow of
+    half a period, lands on the reduced orbit of m: the flower projects
+    to a single reduced periodic orbit.  The frame point is read off m's
+    period trajectory; the fresh integration from it is what equivariance
+    of the flow must keep on that orbit."""
     def residual(m, p, rng):
         worst = 0.0
         for _ in range(n_frames):
             al = float(rng.uniform(0.0, 1.0))
             g = _random_group_element(spec, rng)
-            x = flower_frame(spec, p, m, al, g)
+            x = flow(spec, flower_frame(spec, p, al, g), 0.5 * p.tau)
             d, _ = reduced_orbit_distance(spec, p, x)
             worst = max(worst, d)
         return worst
@@ -367,7 +372,7 @@ def check_delta_integral(spec, samples, tol, seed=None) -> CheckReport:
             pt = phase(spec, flow(spec, m, frac * p.tau))
             worst = max(worst, projective_distance(pt.delta_rep, p.delta_rep))
         rank = p.eta.beta.size
-        x = torus_embed(spec, p, m, 0.4, np.full(rank, 0.3))
+        x = torus_embed(spec, p, 0.4, np.full(rank, 0.3))
         px = phase(spec, x)
         worst = max(worst, projective_distance(px.delta_rep, p.delta_rep))
         m_w, _ = weyl_partner(spec, m, p)
@@ -391,7 +396,7 @@ def check_frequency_flower_constancy(spec, samples, tol, seed=None, n_frames=4) 
         for _ in range(n_frames):
             al = float(rng.uniform(0.0, 1.0))
             g = _random_group_element(spec, rng)
-            x = flower_frame(spec, p, m, al, g)
+            x = flower_frame(spec, p, al, g)
             px = phase(spec, x)
             if not px.regular:
                 continue
@@ -490,8 +495,7 @@ def _family_pole(inertia, u0) -> np.ndarray:
     return pole if float(u0 @ pole) >= 0.0 else -pole
 
 
-def montgomery_oracle(inertia, m: PhasePoint, period: float = None,
-                      quad_tol: float = 1e-9) -> float:
+def montgomery_oracle(inertia, m: PhasePoint, period: float = None) -> float:
     """Predicted per-period rotation angle about the spatial momentum
     axis, from the classical energy/solid-angle formula:
 
@@ -501,7 +505,7 @@ def montgomery_oracle(inertia, m: PhasePoint, period: float = None,
     Everything is recomputed from scratch here: the unit momentum loop is
     integrated with its own solver, its period found with its own section
     refinement, and the enclosed spherical area evaluated by trapezoid
-    quadrature doubled until two refinement levels agree to ``quad_tol``.
+    quadrature doubled until two refinement levels agree to ``_QUAD_TOL``.
 
     Conventions: the loop's solid angle is taken about the stable axis it
     encircles (+-e1 for the short-axis family, +-e3 for the long-axis
@@ -530,12 +534,11 @@ def montgomery_oracle(inertia, m: PhasePoint, period: float = None,
             )
         return (2.0 * H * period / L) % TWO_PI
 
-    tau_loop, area = momentum_loop_area(inertia, m, quad_tol=quad_tol)
+    tau_loop, area = momentum_loop_area(inertia, m)
     return (2.0 * H * tau_loop / L - area) % TWO_PI
 
 
-def momentum_loop_area(inertia, m: PhasePoint, quad_tol: float = 1e-9,
-                       reverse: bool = False):
+def momentum_loop_area(inertia, m: PhasePoint, reverse: bool = False):
     """Period of the unit body-momentum loop and the signed spherical
     area it encloses about the family pole (right-handed about the pole;
     ``reverse=True`` traverses the loop backward, negating the area)."""
@@ -595,7 +598,7 @@ def momentum_loop_area(inertia, m: PhasePoint, quad_tol: float = 1e-9,
     while True:
         n *= 2
         refined = enclosed_area(n)
-        if abs(refined - area) < quad_tol:
+        if abs(refined - area) < _QUAD_TOL:
             return tau_loop, float(refined)
         area = refined
         if n > 2**20:

@@ -20,6 +20,7 @@ from reconphase.integrate import flow
 from reconphase.liegroup import (
     GroupElement,
     Rotation,
+    Xi,
     conj,
     group_distance,
     projective_distance,
@@ -200,13 +201,13 @@ def test_phase_equivariance_rigid(rigid):
 
 def test_torus_embed_origin_is_basepoint(ball):
     spec, m, p = ball
-    assert state_distance(torus_embed(spec, p, m, 0.0, np.zeros(2)), m) < 1e-15
+    assert state_distance(torus_embed(spec, p, 0.0, np.zeros(2)), m) < 1e-15
 
 
 def test_torus_embed_beta_periodicity(ball):
     spec, m, p = ball
-    x = torus_embed(spec, p, m, 0.3, np.array([0.2, 0.4]))
-    y = torus_embed(spec, p, m, 0.3, np.array([1.2, -0.6]))
+    x = torus_embed(spec, p, 0.3, np.array([0.2, 0.4]))
+    y = torus_embed(spec, p, 0.3, np.array([1.2, -0.6]))
     assert state_distance(x, y) < 1e-12
 
 
@@ -214,15 +215,15 @@ def test_torus_embed_flow_linearity_ball(ball):
     spec, m, p = ball
     alpha, beta = 0.3, np.array([0.15, 0.45])
     t = 0.37 * p.tau
-    lhs = flow(spec, torus_embed(spec, p, m, alpha, beta), t)
-    rhs = torus_embed(spec, p, m, alpha + 0.37, beta + 0.37 * p.eta.beta)
+    lhs = flow(spec, torus_embed(spec, p, alpha, beta), t)
+    rhs = torus_embed(spec, p, alpha + 0.37, beta + 0.37 * p.eta.beta)
     assert state_distance(lhs, rhs) < 1e-9
 
 
 def test_torus_embed_flow_linearity_rigid(rigid):
     spec, m, p = rigid
-    lhs = flow(spec, torus_embed(spec, p, m, 0.4, np.array([0.3])), 0.25 * p.tau)
-    rhs = torus_embed(spec, p, m, 0.65, np.array([0.3]) + 0.25 * p.eta.beta)
+    lhs = flow(spec, torus_embed(spec, p, 0.4, np.array([0.3])), 0.25 * p.tau)
+    rhs = torus_embed(spec, p, 0.65, np.array([0.3]) + 0.25 * p.eta.beta)
     assert state_distance(lhs, rhs) < 1e-9
 
 
@@ -233,15 +234,15 @@ def test_torus_embed_is_one_periodic_in_alpha(request, system):
     spec, m, p = request.getfixturevalue(system)
     beta = np.full(p.eta.beta.size, 0.3)
     for alpha in (0.0, 0.4):
-        x = torus_embed(spec, p, m, alpha, beta)
-        x1 = torus_embed(spec, p, m, alpha + 1.0, beta)
+        x = torus_embed(spec, p, alpha, beta)
+        x1 = torus_embed(spec, p, alpha + 1.0, beta)
         assert state_distance(x1, x) < 1e-9
 
 
 def test_torus_embed_grid_injectivity(ball):
     spec, m, p = ball
     pts = [
-        torus_embed(spec, p, m, al, np.array([b1, b2]))
+        torus_embed(spec, p, al, np.array([b1, b2]))
         for al in (0.0, 0.5)
         for b1 in (0.1, 0.6)
         for b2 in (0.2, 0.7)
@@ -257,17 +258,15 @@ def test_torus_embed_requires_regular(ball):
         frequencies=None, delta_rep=None, residuals={},
     )
     with pytest.raises(DomainError):
-        torus_embed(spec, bad, m, 0.1, np.zeros(2))
+        torus_embed(spec, bad, 0.1, np.zeros(2))
 
 
 def test_flower_frame_extends_torus_embed(ball):
     spec, m, p = ball
     beta = np.array([0.35, 0.8])
-    from reconphase.liegroup import Xi
-
     h = (p.conjugator.inverse() @ Xi(beta, spec.group)) @ p.conjugator
-    x = flower_frame(spec, p, m, 0.45, h)
-    y = torus_embed(spec, p, m, 0.45, beta)
+    x = flower_frame(spec, p, 0.45, h)
+    y = torus_embed(spec, p, 0.45, beta)
     assert state_distance(x, y) < 1e-12
 
 
@@ -278,10 +277,46 @@ def test_flower_points_share_reduced_orbit(ball):
         2.2, Rotation.from_axis_angle([0.6, 0.1, 0.79], 1.4), spec.group
     )
     for alpha in (0.2, 0.85):
-        x = flower_frame(spec, p, m, alpha, g)
+        # the frame point is read off m's period trajectory; a fresh flow
+        # from it must stay on m's reduced orbit (equivariance). Floor set
+        # by one half-period integration at rtol 1e-10 and the minimiser
+        x = flow(spec, flower_frame(spec, p, alpha, g), 0.5 * p.tau)
         d, _ = reduced_orbit_distance(spec, p, x)
-        # floor set by two tau-length integrations at rtol 1e-10
         assert d < 1e-7
+
+
+@pytest.mark.parametrize("system", ["ball", "rigid"])
+def test_flower_frame_matches_its_definition(request, system):
+    # J_m(alpha, g) = act(g h_alpha^-1, flow(m, alpha tau)) with
+    # h_alpha = g_m^-1 Xi(alpha eta) g_m, against a fresh tight flow of
+    # either sign and over several periods
+    spec, m, p = request.getfixturevalue(system)
+    theta = 0.7 if spec.group == "s1xso3" else 0.0
+    g = GroupElement(
+        theta, Rotation.from_axis_angle([0.4, -0.7, 0.59], 2.1), spec.group
+    )
+    for alpha in (-0.6, 0.0, 0.3, 0.999, 1.4, 2.9):
+        h_alpha = (
+            p.conjugator.inverse() @ Xi(alpha * p.eta.beta, spec.group)
+        ) @ p.conjugator
+        want = act(
+            g @ h_alpha.inverse(),
+            flow(spec, m, alpha * p.tau, rtol=1e-12, atol=1e-14),
+        )
+        assert state_distance(flower_frame(spec, p, alpha, g), want) < 1e-9
+
+
+@pytest.mark.parametrize("system", ["ball", "rigid"])
+def test_reduced_orbit_distance_wraps_the_period_seam(request, system):
+    # points just before tau lie closest to the grid node t = 0, the same
+    # reduced point as t = tau: the refinement must cross the seam
+    spec, _, p = request.getfixturevalue(system)
+    h = p.tau / 511
+    for e in (0.1, 0.3, 0.45):
+        x = p._trajectory.eval(p.tau - e * h)
+        d, t = reduced_orbit_distance(spec, p, x)
+        assert d < 1e-9
+        assert 0.0 <= t < p.tau
 
 
 # ---------------------------------------------------------------------------
@@ -330,9 +365,11 @@ def test_weyl_partner_same_level_different_petal(ball):
 def test_same_petal_accepts_torus_translates(ball):
     spec, m, p = ball
     assert same_petal(spec, m, m, p1=p, p2=p)
-    x = torus_embed(spec, p, m, 0.3, np.array([0.2, 0.4]))
+    # chart points are read off p's trajectory: a fresh flow keeps them on
+    # the torus while making the comparison independent of that trajectory
+    x = flow(spec, torus_embed(spec, p, 0.3, np.array([0.2, 0.4])), 0.4 * p.tau)
     assert same_petal(spec, m, x, p1=p)
-    y = torus_embed(spec, p, m, 0.0, np.array([0.77, 0.13]))
+    y = flow(spec, torus_embed(spec, p, 0.0, np.array([0.77, 0.13])), 0.4 * p.tau)
     assert same_petal(spec, m, y, p1=p)
 
 
@@ -346,7 +383,7 @@ def test_same_petal_rejects_other_flowers_and_petals(ball):
     assert not same_petal(spec, m, m_far, p1=p)
     m_w, _ = weyl_partner(spec, m, p)
     p_w = phase(spec, m_w)
-    z = torus_embed(spec, p_w, m_w, 0.6, np.array([0.9, 0.2]))
+    z = torus_embed(spec, p_w, 0.6, np.array([0.9, 0.2]))
     assert not same_petal(spec, m, z, p1=p)
 
 
@@ -377,7 +414,8 @@ def test_stabilizer_samples_split_into_two_petals(ball):
 
 def test_rigid_petal_logic(rigid):
     spec, m, p = rigid
-    x = torus_embed(spec, p, m, 0.7, np.array([0.85]))
+    # flowed on so that the comparison does not read p's trajectory twice
+    x = flow(spec, torus_embed(spec, p, 0.7, np.array([0.85])), 0.4 * p.tau)
     assert same_petal(spec, m, x, p1=p)
     m_w, _ = weyl_partner(spec, m, p)
     p_w = phase(spec, m_w)
