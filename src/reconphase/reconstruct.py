@@ -284,9 +284,11 @@ def reduced_orbit_distance(spec: SystemSpec, p: PhaseResult, m2: PhasePoint):
     ds = [dist(t) for t in ts]
     i = int(np.argmin(ds))
     h = ts[1]
-    res = minimize_scalar(dist, bounds=(ts[i] - h, ts[i] + h), method="bounded",
-                          options={"xatol": 1e-13})
-    return float(res.fun), float(res.x % p.tau)
+    # refine the offset s from the grid node: the bounded search stops at
+    # sqrt(eps)|s| + xatol/3, which is ~1e-8 in t itself but not in s
+    res = minimize_scalar(lambda s: dist(ts[i] + s), bounds=(-h, h),
+                          method="bounded", options={"xatol": 1e-13})
+    return float(res.fun), float((ts[i] + res.x) % p.tau)
 
 
 def same_petal(

@@ -13,9 +13,9 @@ seeded with the ``seed`` argument recorded in the report.
 
 The rotation-angle oracle (:func:`montgomery_oracle`) re-derives the
 rigid body's per-period rotation about its spatial momentum axis from
-scratch — its own momentum-loop integration, its own period detection,
-and an adaptive quadrature of the enclosed spherical area — so that
-agreement with ``phase()`` genuinely cross-validates two code paths.
+scratch — its own integrator, a one-turn azimuth event and the area
+integrated along the loop — so that agreement with ``phase()`` genuinely
+cross-validates two code paths.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from typing import Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .dynsys import (
     BALL,
@@ -50,9 +49,7 @@ from .errors import (
 )
 from .integrate import find_reduced_period, flow
 from .liegroup import (
-    E1,
     E2,
-    E3,
     GroupElement,
     Rotation,
     conj,
@@ -70,9 +67,6 @@ from .reconstruct import (
 )
 
 TWO_PI = 2.0 * math.pi
-
-# agreement of two successive trapezoid levels of the oracle's solid angle
-_QUAD_TOL = 1e-9
 
 # recoverable per-sample failures: the sample is skipped, not the check
 _SKIP = (PeriodNotFoundError, DomainError, IntegrationError)
@@ -483,15 +477,17 @@ def measured_rotation_angle(p, m: PhasePoint) -> float:
 
 
 def _family_pole(inertia, u0) -> np.ndarray:
-    """The stable principal axis (+-e1 or +-e3, on u0's side) that the
-    unit momentum loop through u0 encircles; separatrix-adjacent loops
-    raise OracleUnavailableError."""
-    kappa = float(inertia[1] * (u0 @ (u0 / inertia)) - 1.0)
+    """The principal axis of extreme inertia (+-, on u0's side) that the
+    unit momentum loop through u0 encircles: the smallest moment's above
+    the separatrix energy, the largest's below.  Separatrix-adjacent
+    loops raise OracleUnavailableError."""
+    order = np.argsort(inertia, kind="stable")
+    kappa = float(inertia[order[1]] * (u0 @ (u0 / inertia)) - 1.0)
     if abs(kappa) < 1e-3:
         raise OracleUnavailableError(
             f"momentum loop too close to the separatrix (margin {kappa:.2e})"
         )
-    pole = E1 if kappa > 0 else E3
+    pole = np.eye(3)[order[0] if kappa > 0 else order[2]]
     return pole if float(u0 @ pole) >= 0.0 else -pole
 
 
@@ -503,17 +499,17 @@ def montgomery_oracle(inertia, m: PhasePoint, period: float = None) -> float:
                  body-momentum loop about its encircled axis)   (mod 2 pi)
 
     Everything is recomputed from scratch here: the unit momentum loop is
-    integrated with its own solver, its period found with its own section
-    refinement, and the enclosed spherical area evaluated by trapezoid
-    quadrature doubled until two refinement levels agree to ``_QUAD_TOL``.
+    integrated with its own solver together with its azimuth about the
+    encircled axis and the enclosed spherical area, and stopped when the
+    azimuth has made one full turn (:func:`momentum_loop_area`).
 
     Conventions: the loop's solid angle is taken about the stable axis it
-    encircles (+-e1 for the short-axis family, +-e3 for the long-axis
-    family, sign matched to the loop); a degenerate point loop (momentum
-    exactly on a principal axis) encloses zero area, and since the
-    reduced orbit is then an equilibrium with no intrinsic period, the
-    ``period`` argument must be supplied; separatrix-adjacent loops raise
-    OracleUnavailableError.
+    encircles (+-the smallest-moment axis for the short-axis family,
+    +-the largest-moment axis for the long-axis family, sign matched to
+    the loop); a degenerate point loop (momentum exactly on a principal
+    axis) encloses zero area, and since the reduced orbit is then an
+    equilibrium with no intrinsic period, the ``period`` argument must be
+    supplied; separatrix-adjacent loops raise OracleUnavailableError.
     """
     inertia = np.asarray(inertia, dtype=float)
     omega0 = m.omega_body
@@ -541,7 +537,15 @@ def montgomery_oracle(inertia, m: PhasePoint, period: float = None) -> float:
 def momentum_loop_area(inertia, m: PhasePoint, reverse: bool = False):
     """Period of the unit body-momentum loop and the signed spherical
     area it encloses about the family pole (right-handed about the pole;
-    ``reverse=True`` traverses the loop backward, negating the area)."""
+    ``reverse=True`` traverses the loop backward, negating the area).
+
+    One integration of (u, phi, A): the unit momentum u, its azimuth phi
+    about the pole and the area A' = (1 - pole.u) phi', ended by the event
+    |phi| = 2 pi.  About the encircled axis e_a,
+    phi' = L u_a sum_{b != a} u_b^2 (1/I_b - 1/I_a) / (1 - u_a^2), which
+    keeps one sign along the loop (I_a is strictly extreme and u_a never
+    changes sign), so one azimuth turn is one period of u.
+    """
     inertia = np.asarray(inertia, dtype=float)
     L_body = inertia * m.omega_body
     L = float(np.linalg.norm(L_body))
@@ -549,59 +553,31 @@ def momentum_loop_area(inertia, m: PhasePoint, reverse: bool = False):
     pole = _family_pole(inertia, u0)
     sign = -1.0 if reverse else 1.0
 
-    def u_rhs(t, u):
-        return sign * L * np.cross(u, u / inertia)
+    def rhs(t, y):
+        u = y[:3]
+        du = sign * L * np.cross(u, u / inertia)
+        cos_th = float(pole @ u)
+        dphi = float(np.cross(u, du) @ pole) / (1.0 - cos_th**2)
+        return np.append(du, (dphi, (1.0 - cos_th) * dphi))
 
-    du0 = u_rhs(0.0, u0)
-    sp = float(np.linalg.norm(du0))
+    def one_turn(t, y):
+        return abs(y[3]) - TWO_PI
+
+    one_turn.terminal = True
+
+    sp = L * float(np.linalg.norm(np.cross(u0, u0 / inertia)))
     if sp < 1e-12:
         raise OracleUnavailableError("stationary momentum loop without period")
-    dn = du0 / sp
 
-    # crude window: several symmetric-top precession periods of slack
+    # crude window of several symmetric-top precession periods: only the
+    # integration bound, the one-turn event ends the loop well before it
     t_guess = TWO_PI / sp * max(inertia) / min(inertia) * 4.0 + 1.0
     sol = solve_ivp(
-        u_rhs, (0.0, 3.0 * t_guess), u0, method="DOP853",
-        rtol=1e-12, atol=1e-14, dense_output=True,
+        rhs, (0.0, 3.0 * t_guess), np.append(u0, (0.0, 0.0)),
+        method="DOP853", rtol=1e-12, atol=1e-14, events=one_turn,
     )
-
-    def section(t):
-        return float((sol.sol(t) - u0) @ dn)
-
-    tau_loop = None
-    ts = np.linspace(0.0, sol.t[-1], 4096)
-    vals = [section(t) for t in ts]
-    for i in range(1, len(ts)):
-        if vals[i - 1] < 0.0 <= vals[i] and ts[i] > 1e-6:
-            t_star = brentq(section, ts[i - 1], ts[i], xtol=1e-13, rtol=1e-15)
-            if t_star > 1e-6 and np.linalg.norm(sol.sol(t_star) - u0) < 1e-8:
-                tau_loop = float(t_star)
-                break
-    if tau_loop is None:
+    if sol.status != 1:
         raise OracleUnavailableError(
             "no closed momentum loop found (separatrix or integration range)"
         )
-
-    def enclosed_area(n_nodes):
-        t = np.linspace(0.0, tau_loop, n_nodes + 1)
-        u = sol.sol(t)  # 3 x (n+1)
-        du = sign * L * np.cross(u.T, (u / inertia[:, None]).T)
-        cos_th = pole @ u
-        az_rate = (np.cross(u.T, du) @ pole) / np.maximum(
-            1.0 - cos_th**2, 1e-300
-        )
-        f = (1.0 - cos_th) * az_rate
-        return float(np.trapezoid(f, t))
-
-    n = 256
-    area = enclosed_area(n)
-    while True:
-        n *= 2
-        refined = enclosed_area(n)
-        if abs(refined - area) < _QUAD_TOL:
-            return tau_loop, float(refined)
-        area = refined
-        if n > 2**20:
-            raise OracleUnavailableError(
-                "solid-angle quadrature failed to converge"
-            )
+    return float(sol.t_events[0][0]), float(sol.y_events[0][0][4])

@@ -309,13 +309,20 @@ def test_flower_frame_matches_its_definition(request, system):
 @pytest.mark.parametrize("system", ["ball", "rigid"])
 def test_reduced_orbit_distance_wraps_the_period_seam(request, system):
     # points just before tau lie closest to the grid node t = 0, the same
-    # reduced point as t = tau: the refinement must cross the seam
+    # reduced point as t = tau: the refinement must cross the seam.  The
+    # last point is an orbit point far from the seam, moved off the torus
+    # by a group element: it lies on the reduced orbit too, and reads ~0
+    # only if the refinement resolves t well below sqrt(eps) t
     spec, _, p = request.getfixturevalue(system)
     h = p.tau / 511
-    for e in (0.1, 0.3, 0.45):
-        x = p._trajectory.eval(p.tau - e * h)
+    theta = 0.7 if spec.group == "s1xso3" else 0.0
+    g = GroupElement(
+        theta, Rotation.from_axis_angle([0.4, -0.7, 0.59], 2.1), spec.group
+    )
+    points = [p._trajectory.eval(p.tau - e * h) for e in (0.1, 0.3, 0.45)]
+    for x in points + [flower_frame(spec, p, 0.85, g)]:
         d, t = reduced_orbit_distance(spec, p, x)
-        assert d < 1e-9
+        assert d < 1e-10
         assert 0.0 <= t < p.tau
 
 

@@ -231,9 +231,16 @@ def test_negative_control_corrupted_flow_fails(rigid_spec, rigid_samples):
 # ---------------------------------------------------------------------------
 
 def test_oracle_agrees_with_phase_both_families(rigid_spec, rigid_samples):
-    for m in rigid_samples:
-        p = phase(rigid_spec, m)
-        predicted = montgomery_oracle(rigid_spec.inertia, m)
+    # the sampled (1, 2, 3) orbits, plus each family on bodies whose
+    # principal moments are not listed in increasing order
+    cases = [(rigid_spec, m) for m in rigid_samples]
+    for inertia in ((3.0, 2.0, 1.0), (2.0, 1.0, 3.0), (1.0, 3.0, 2.0), (1.0, 1.0, 3.0)):
+        spec = make_rigid_body(inertia)
+        for omega in ((1.0, 0.2, 0.3), (0.2, 0.3, 1.0), (0.3, 1.0, 0.2)):
+            cases.append((spec, rigid_point(spec, Rotation.identity(), omega)))
+    for spec, m in cases:
+        p = phase(spec, m)
+        predicted = montgomery_oracle(spec.inertia, m)
         measured = measured_rotation_angle(p, m)
         assert wrap_angle(predicted - measured) < 1e-6
         assert 0.0 <= measured < TWO_PI
@@ -260,10 +267,21 @@ def test_oracle_point_loop_requires_period(rigid_spec):
     assert ang == pytest.approx((0.9 * 7.0) % TWO_PI, abs=1e-12)
 
 
-def test_oracle_separatrix_unavailable(rigid_spec):
-    m = rigid_point(rigid_spec, Rotation.identity(), (1e-6, 0.8, 1e-6))
+@pytest.mark.parametrize(
+    "inertia, omega",
+    [
+        ((1.0, 2.0, 3.0), (1e-6, 0.8, 1e-6)),
+        ((2.0, 1.0, 3.0), (0.4, 1e-6, 1e-6)),
+        ((1.0, 3.0, 2.0), (1e-6, 1e-6, 0.4)),
+    ],
+    ids=["123", "213", "132"],
+)
+def test_oracle_separatrix_unavailable(inertia, omega):
+    # momentum next to the middle principal axis, wherever it is listed
+    spec = make_rigid_body(inertia)
+    m = rigid_point(spec, Rotation.identity(), omega)
     with pytest.raises(OracleUnavailableError):
-        montgomery_oracle(rigid_spec.inertia, m)
+        montgomery_oracle(spec.inertia, m)
 
 
 def test_loop_reversal_negates_enclosed_area(rigid_spec, rigid_samples):
