@@ -35,6 +35,7 @@ from .errors import (
     PeriodNotFoundError,
     PhaseInconsistencyError,
     ReconphaseError,
+    SamplerExhaustedError,
 )
 from .liegroup import (
     GroupElement,

@@ -363,7 +363,8 @@ class SystemSpec:
         )
 
     def reduce_y(self, y: np.ndarray) -> np.ndarray:
-        """Reduced state as a 4-vector (b, w)."""
+        """Reduced state as a 4-vector (b, w); packed states given as the
+        columns of an (nstate, n) array give the columns of a (4, n) one."""
         if self.kind == BALL:
             a1, a2, ad1, ad2 = y[0], y[1], y[2], y[3]
             return np.array(
@@ -375,7 +376,7 @@ class SystemSpec:
                 ]
             )
         I1, I2, I3 = self.inertia
-        return np.array([I1 * y[4], I2 * y[5], I3 * y[6], 0.0])
+        return np.array([I1 * y[4], I2 * y[5], I3 * y[6], np.zeros_like(y[4])])
 
     def reduced_velocity(self, y: np.ndarray) -> np.ndarray:
         """Time derivative of reduce_y along the flow (analytic)."""

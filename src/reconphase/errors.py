@@ -57,3 +57,13 @@ class PhaseInconsistencyError(ReconphaseError):
 class OracleUnavailableError(ReconphaseError):
     """An independent cross-check cannot be evaluated for this input
     (e.g. separatrix proximity)."""
+
+
+class SamplerExhaustedError(ReconphaseError):
+    """A rejection sampler used up its draw budget before it accepted
+    the requested number of points."""
+
+    def __init__(self, message, n_accepted=None, budget=None):
+        super().__init__(message)
+        self.n_accepted = n_accepted
+        self.budget = budget

@@ -10,10 +10,14 @@ stored node states exactly.
 
 Period detection marches the flow while watching the section function
 sigma(t) = <reduced(t) - reduced(0), v0_hat> (v0 = initial reduced
-velocity).  At every sign change of sigma from negative to positive the
-crossing time is refined by root-finding on the dense output; the first
-refined crossing beyond the minimal-period floor whose reduced state
-also returns to the start (closure) is the period.  Crossings that fail
+velocity).  Each accepted step samples sigma at 17 equally spaced times
+(16 sub-intervals) with one call to the step's interpolant and one
+batch reduction.  At every sign change of sigma from negative to
+positive the crossing time is refined by brentq on that same function,
+applied to a one-element time array, so the scan and the refinement
+agree on every sign; the first refined crossing beyond the
+minimal-period floor whose reduced state also returns to the start
+(closure) is the period.  Crossings that fail
 closure are other intersections of the reduced orbit with the section
 hyperplane and are skipped; if only such crossings exist up to t_max the
 orbit is reported as not periodic.
@@ -21,7 +25,6 @@ orbit is reported as not periodic.
 
 from __future__ import annotations
 
-import bisect
 import io
 import math
 import os
@@ -65,9 +68,10 @@ class _Segment:
         self.t_new = dense.t
 
     def __call__(self, t):
+        """State at time t (nstate,), or at times t as columns (nstate, n)."""
         span = self.t_new - self.t_old
-        x = (t - self.t_old) / span if span != 0.0 else 0.0
-        return self.dense(t) + x * self.delta
+        x = (t - self.t_old) / span if span != 0.0 else np.zeros_like(t, float)
+        return self.dense(t) + np.multiply.outer(self.delta, x)
 
 
 @dataclass
@@ -91,16 +95,28 @@ class Trajectory:
     def t1(self) -> float:
         return self.times[-1]
 
-    def eval_y(self, t: float) -> np.ndarray:
-        if not (self.t0 <= t <= self.t1):
+    def eval_y(self, t) -> np.ndarray:
+        """Packed state at time t (nstate,), or at a 1-D array of times as
+        columns (nstate, n) with one interpolant call per segment hit."""
+        ts = np.asarray(t, dtype=float)
+        inside = (self.t0 <= ts) & (ts <= self.t1)
+        if not np.all(inside):
+            bad = t if ts.ndim == 0 else ts[~inside][0]
             raise ValueError(
-                f"t = {t!r} outside the trajectory span [{self.t0}, {self.t1}]"
+                f"t = {bad!r} outside the trajectory span [{self.t0}, {self.t1}]"
             )
         if not self.segments:
-            return np.array(self.states[0])
-        i = bisect.bisect_right(self.times, t) - 1
-        i = min(max(i, 0), len(self.segments) - 1)
-        return self.segments[i](t)
+            y0 = self.states[0]
+            return np.array(y0) if ts.ndim == 0 else np.repeat(y0[:, None], ts.size, 1)
+        idx = np.searchsorted(self.times, ts, side="right") - 1
+        idx = np.clip(idx, 0, len(self.segments) - 1)
+        if ts.ndim == 0:
+            return self.segments[idx](t)
+        out = np.empty((len(self.states[0]), ts.size))
+        for i in np.unique(idx):
+            sel = idx == i
+            out[:, sel] = self.segments[i](ts[sel])
+        return out
 
     def eval(self, t: float) -> PhasePoint:
         return self.spec.unpack(self.eval_y(t))
@@ -254,7 +270,13 @@ def _period_search(
     traj = marcher.traj
 
     def sigma_of(seg):
-        return lambda t: float((spec.reduce_y(seg(t)) - rp0) @ v0n)
+        def sigma(ts):
+            # summed term by term in one fixed order, never by a BLAS dot
+            # whose order depends on the array length: a time gets the same
+            # value in the step's scan and in the brentq refinement
+            d = spec.reduce_y(seg(ts)) - rp0[:, None]
+            return sum(v * row for v, row in zip(v0n, d))
+        return sigma
 
     best_residual = math.inf
     found_crossing = False
@@ -265,14 +287,15 @@ def _period_search(
             break
         sig = sigma_of(seg)
         ts = np.linspace(seg.t_old, seg.t_new, n_sub + 1)
-        vals = [sig(t) for t in ts]
+        vals = sig(ts)
         for i in range(1, len(ts)):
             if not (vals[i - 1] < 0.0 <= vals[i]):
                 continue
             if ts[i] <= min_period:
                 continue
             t_star, rr = brentq(
-                sig, ts[i - 1], ts[i], xtol=1e-13, rtol=1e-15, full_output=True
+                lambda t: float(sig(np.array([t]))[0]),
+                ts[i - 1], ts[i], xtol=1e-13, rtol=1e-15, full_output=True,
             )
             if t_star <= min_period:
                 continue

@@ -46,6 +46,7 @@ from .errors import (
     OracleUnavailableError,
     PeriodNotFoundError,
     PhaseInconsistencyError,
+    SamplerExhaustedError,
 )
 from .integrate import find_reduced_period, flow
 from .liegroup import (
@@ -164,11 +165,13 @@ def sample_ball(spec: SystemSpec, rng, n: int):
     close to the chart singularity at the axis) or whose phase is
     singular are rejected and redrawn."""
     out = []
-    budget = 60 * n
+    budget = draws = 60 * n
     while len(out) < n:
-        if budget == 0:
-            raise RuntimeError("ball sampler exhausted its rejection budget")
-        budget -= 1
+        if draws == 0:
+            raise SamplerExhaustedError(
+                f"ball sampler accepted {len(out)} of {n} points in "
+                f"{budget} draws", n_accepted=len(out), budget=budget)
+        draws -= 1
         r = rng.uniform(0.5, 1.5)
         psi = rng.uniform(0.0, TWO_PI)
         speed = rng.uniform(0.15, 0.6)
@@ -201,11 +204,13 @@ def sample_rigid(spec: SystemSpec, rng, n: int, margin: float = 0.12):
     ``margin``) and from the middle axis itself."""
     out = []
     want_positive = True
-    budget = 200 * n
+    budget = draws = 200 * n
     while len(out) < n:
-        if budget == 0:
-            raise RuntimeError("rigid sampler exhausted its rejection budget")
-        budget -= 1
+        if draws == 0:
+            raise SamplerExhaustedError(
+                f"rigid sampler accepted {len(out)} of {n} points in "
+                f"{budget} draws", n_accepted=len(out), budget=budget)
+        draws -= 1
         u = rng.normal(size=3)
         u /= np.linalg.norm(u)
         if min(np.linalg.norm(u - E2), np.linalg.norm(u + E2)) < 0.35:

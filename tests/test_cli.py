@@ -316,6 +316,16 @@ def test_runtime_error_exit_code(tmp_path, capsys):
     assert "runtime error" in capsys.readouterr().err
 
 
+def test_sampler_exhaustion_exit_code(tmp_path, capsys):
+    # a spherical body has family margin 0 for every draw, so the rigid
+    # sampler rejects them all and runs out of budget
+    doc = dict(RIGID_CONFIG, system={"kind": "rigid", "inertia": [1.0, 1.0, 1.0]})
+    config = write_config(tmp_path, doc)
+    assert run_cli("verify", "--config", config, "--checks", "all",
+                   "--out", str(tmp_path)) == 3
+    assert "SamplerExhaustedError" in capsys.readouterr().err
+
+
 def test_outputs_are_byte_identical_across_reruns(tmp_path):
     config = write_config(tmp_path, RIGID_CONFIG)
     out = str(tmp_path / "o")

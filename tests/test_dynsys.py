@@ -275,6 +275,21 @@ def test_reduce_rigid_is_body_momentum(rigid):
     assert r.w == 0.0
 
 
+def test_reduce_y_on_columns_equals_per_column_calls(ball, rigid):
+    rng = np.random.default_rng(10)
+    for spec, points in (
+        (ball, [random_ball_point(ball, rng) for _ in range(7)]),
+        (rigid, [rigid_point(rigid, Rotation(rng.normal(size=4)), rng.normal(size=3))
+                 for _ in range(7)]),
+    ):
+        ys = np.column_stack([spec.pack(m) for m in points])
+        reduced = spec.reduce_y(ys)
+        assert reduced.shape == (4, 7)
+        assert np.array_equal(reduced, np.column_stack([spec.reduce_y(y) for y in ys.T]))
+    # the rigid body's constant w slot is a row of zeros
+    assert np.array_equal(reduced[3], np.zeros(7))
+
+
 def test_reduced_velocity_matches_finite_difference(ball, rigid):
     rng = np.random.default_rng(9)
     h = 1e-6

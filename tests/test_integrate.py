@@ -141,6 +141,33 @@ def test_dense_eval_out_of_span(ball, mball):
         traj.eval(1.5)
     with pytest.raises(ValueError):
         traj.eval(-0.1)
+    with pytest.raises(ValueError):
+        traj.eval_y(np.array([0.2, 1.5, 0.7]))
+    with pytest.raises(ValueError):
+        traj.eval_y(np.array([-0.1, 0.5]))
+
+
+def test_dense_eval_on_arrays_equals_scalar_calls(ball, mball):
+    traj = flow_trajectory(ball, mball, 5.0)
+    nodes = np.array(traj.times)
+    interior = 0.3 * nodes[:-1] + 0.7 * nodes[1:]
+    rng = np.random.default_rng(4)
+    # unsorted, with repeats and both ends of the span
+    ts = np.concatenate(
+        [nodes[::-1], interior, [traj.t0, traj.t1, traj.t0], rng.uniform(0.0, 5.0, 40)]
+    )
+    ys = traj.eval_y(ts)
+    assert ys.shape == (ball.nstate, ts.size)
+    assert np.array_equal(ys, np.column_stack([traj.eval_y(t) for t in ts]))
+
+
+def test_dense_eval_on_arrays_without_steps(rigid, mrigid):
+    traj = flow_trajectory(rigid, mrigid, 0.0)
+    assert traj.n_accepted == 0
+    ys = traj.eval_y(np.array([0.0, 0.0, 0.0]))
+    assert np.array_equal(ys, np.column_stack([traj.eval_y(0.0)] * 3))
+    with pytest.raises(ValueError):
+        traj.eval_y(np.array([0.0, 1e-9]))
 
 
 # ----------------------------------------------------------------------

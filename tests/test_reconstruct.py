@@ -196,6 +196,29 @@ def test_phase_equivariance_rigid(rigid):
 
 
 # ---------------------------------------------------------------------------
+# exact symmetries of the equations (bounds of acceptance criteria 01-03)
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("system", ["ball", "rigid"])
+def test_backward_flow_over_one_period_undoes_the_phase(request, system):
+    # act(gamma, m) = flow(m, tau) and equivariance give
+    # flow(m, -tau) = act(gamma^-1, m)
+    spec, m, p = request.getfixturevalue(system)
+    back = flow(spec, m, -p.tau)
+    assert state_distance(back, act(p.gamma.inverse(), m)) < 1e-6
+
+
+@pytest.mark.parametrize("s", [0.5, 2.0, 7.0])
+def test_rigid_time_rescaling(rigid, s):
+    # Euler's equations are homogeneous of degree two in omega: omega ->
+    # s omega traces the same orbit at s times the speed
+    spec, m, p = rigid
+    ps = phase(spec, rigid_point(spec, m.Q, s * m.omega_body))
+    assert abs(ps.tau - p.tau / s) < 5e-7
+    assert group_distance(ps.gamma, p.gamma) < 5e-7
+
+
+# ---------------------------------------------------------------------------
 # the torus chart
 # ---------------------------------------------------------------------------
 

@@ -10,7 +10,12 @@ from reconphase.dynsys import (
     make_rigid_body,
     rigid_point,
 )
-from reconphase.errors import OracleUnavailableError
+import reconphase.verify as verify
+from reconphase.errors import (
+    OracleUnavailableError,
+    ReconphaseError,
+    SamplerExhaustedError,
+)
 from reconphase.liegroup import Rotation
 from reconphase.reconstruct import phase
 from reconphase.verify import (
@@ -94,6 +99,20 @@ def test_rigid_family_margin_reference_values(rigid_spec):
     assert rigid_family_margin(rigid_spec, (1.0, 0, 0)) == pytest.approx(1.0)
     assert rigid_family_margin(rigid_spec, (0, 0, 0.7)) == pytest.approx(-1 / 3)
     assert rigid_family_margin(rigid_spec, (0, 1.3, 0)) == pytest.approx(0.0, abs=1e-15)
+
+
+def test_rigid_sampler_exhaustion_is_typed(rigid_spec, monkeypatch):
+    # the family margin of inertia (1, 2, 3) lies in [-1/3, 1]: no draw
+    # reaches |margin| >= 2, so no candidate gets as far as phase()
+    def no_phase(*args, **kwargs):
+        raise AssertionError("a candidate reached phase()")
+
+    monkeypatch.setattr(verify, "phase", no_phase)
+    with pytest.raises(SamplerExhaustedError) as exc:
+        sample_rigid(rigid_spec, np.random.default_rng(0), 2, margin=2.0)
+    assert isinstance(exc.value, ReconphaseError)
+    assert exc.value.n_accepted == 0
+    assert exc.value.budget == 400
 
 
 # ---------------------------------------------------------------------------
