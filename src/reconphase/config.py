@@ -11,9 +11,13 @@ a required ``system`` block::
       "output":      {"dir": "out"}
     }
 
-Resolution order for tolerance knobs (later wins): built-in defaults,
-config file, environment variables (``RECONPHASE_RTOL``,
-``RECONPHASE_ATOL``, ``RECONPHASE_TOL_CLOSURE``, ``RECONPHASE_TOL_PHASE``).
+The ``integration`` keys are the fields of
+:class:`~reconphase.dynsys.IntegrationDefaults`.  Resolution order for
+them (later wins): built-in defaults, config file, environment variables
+(``RECONPHASE_RTOL``, ``RECONPHASE_ATOL``, ``RECONPHASE_TOL_CLOSURE``,
+``RECONPHASE_TOL_PHASE``).  Every number in the file must be finite, and
+every integration setting, from the file or the environment, finite and
+positive; anything else is a :class:`ConfigError`.
 The command line sets no tolerance: its ``--seed`` and ``--out`` flags
 override ``sampling.seed`` and ``output.dir``.  Every command embeds the
 fully resolved configuration in its output for provenance.
@@ -22,7 +26,9 @@ fully resolved configuration in its output for provenance.
 from __future__ import annotations
 
 import json
+import math
 import os
+from dataclasses import asdict, fields
 from typing import Optional
 
 import numpy as np
@@ -84,15 +90,7 @@ CONFIG_SCHEMA = {
         "integration": {
             "type": "object",
             "additionalProperties": False,
-            "properties": {
-                "rtol": _POSITIVE,
-                "atol": _POSITIVE,
-                "t_max": _POSITIVE,
-                "tol_closure": _POSITIVE,
-                "tol_phase": _POSITIVE,
-                "min_period": _POSITIVE,
-                "v_min": _POSITIVE,
-            },
+            "properties": {f.name: _POSITIVE for f in fields(IntegrationDefaults)},
         },
         "sampling": {
             "type": "object",
@@ -153,6 +151,15 @@ def _guess_line(text: str, key: str) -> Optional[int]:
     return None
 
 
+def _finite_float(token: str) -> float:
+    """JSON number hook: ``NaN``, ``Infinity`` and overflowing literals
+    such as ``1e400`` are rejected rather than read as non-finite."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"{token} is not a finite number")
+    return value
+
+
 def load_config(path: str) -> dict:
     """Read, parse, and schema-validate a config file."""
     try:
@@ -161,11 +168,13 @@ def load_config(path: str) -> dict:
     except OSError as e:
         raise ConfigError(f"cannot read config {path!r}: {e}") from e
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_float=_finite_float, parse_constant=_finite_float)
     except json.JSONDecodeError as e:
         raise ConfigError(
             f"config {path!r} is not valid JSON (line {e.lineno}): {e.msg}"
         ) from e
+    except ValueError as e:
+        raise ConfigError(f"config {path!r}: {e}") from e
     validator = Draft202012Validator(CONFIG_SCHEMA)
     errors = sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path))
     if errors:
@@ -220,23 +229,19 @@ def resolve_config(raw: dict, seed: Optional[int] = None,
     """Merge defaults, the config file, environment overrides, and CLI
     flags into one fully explicit configuration dictionary."""
     env = os.environ if env is None else env
-    defaults = IntegrationDefaults()
-    integ = {
-        "rtol": defaults.rtol,
-        "atol": defaults.atol,
-        "t_max": defaults.t_max,
-        "tol_closure": defaults.tol_closure,
-        "tol_phase": defaults.tol_phase,
-        "min_period": defaults.min_period,
-        "v_min": defaults.v_min,
-    }
+    integ = asdict(IntegrationDefaults())
     integ.update(raw.get("integration", {}))
     for var, knob in _ENV_KNOBS.items():
         if var in env:
             try:
-                integ[knob] = float(env[var])
-            except ValueError as e:
-                raise ConfigError(f"{var}={env[var]!r} is not a number") from e
+                value = float(env[var])
+            except ValueError:
+                value = math.nan
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(
+                    f"{var}={env[var]!r} is not a finite positive number"
+                )
+            integ[knob] = value
 
     sampling = {"seed": 0, "count": 20}
     sampling.update(raw.get("sampling", {}))
@@ -262,16 +267,7 @@ def resolve_config(raw: dict, seed: Optional[int] = None,
 def build_system(resolved: dict) -> SystemSpec:
     """Construct the SystemSpec a resolved configuration describes."""
     sys_block = resolved["system"]
-    integ = resolved["integration"]
-    defaults = IntegrationDefaults(
-        rtol=integ["rtol"],
-        atol=integ["atol"],
-        t_max=integ["t_max"],
-        tol_closure=integ["tol_closure"],
-        tol_phase=integ["tol_phase"],
-        min_period=integ["min_period"],
-        v_min=integ["v_min"],
-    )
+    defaults = IntegrationDefaults(**resolved["integration"])
     if sys_block["kind"] == BALL:
         profile = SurfaceProfile(
             tuple(sys_block["profile"]),

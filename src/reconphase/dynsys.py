@@ -61,7 +61,7 @@ states are uniformly 4-vectors).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -197,6 +197,10 @@ class ReducedPoint:
 
 @dataclass(frozen=True)
 class IntegrationDefaults:
+    """The settings of one ``phase()`` integration.  These fields are the
+    only list of them: the config's ``integration`` block, its resolution
+    and every per-call keyword override derive from it."""
+
     rtol: float = 1e-10
     atol: float = 1e-12
     t_max: float = 1e3
@@ -204,6 +208,25 @@ class IntegrationDefaults:
     tol_phase: float = 1e-7
     min_period: float = 1e-3
     v_min: float = 1e-5
+
+    def override(self, **kw) -> "IntegrationDefaults":
+        """This record with every non-None keyword replacing its field, or
+        ``self`` when all are None; an unknown name raises TypeError."""
+        unknown = kw.keys() - {f.name for f in fields(self)}
+        if unknown:
+            raise TypeError(f"unknown integration setting(s) {sorted(unknown)}")
+        changes = {k: v for k, v in kw.items() if v is not None}
+        return replace(self, **changes) if changes else self
+
+
+def _rolling_omega(n, vc, w):
+    """Ball angular velocity solved from the rolling constraint,
+    omega = n x v_c + w n."""
+    return (
+        n[1] * vc[2] - n[2] * vc[1] + w * n[0],
+        n[2] * vc[0] - n[0] * vc[2] + w * n[1],
+        n[0] * vc[1] - n[1] * vc[0] + w * n[2],
+    )
 
 
 @dataclass(frozen=True)
@@ -308,11 +331,7 @@ class SystemSpec:
             + n[2] * (vc[0] * nd[1] - vc[1] * nd[0])
         )
         # attitude rate in the corotating chart
-        om = (
-            n[1] * vc[2] - n[2] * vc[1] + w * n[0],
-            n[2] * vc[0] - n[0] * vc[2] + w * n[1],
-            n[0] * vc[1] - n[1] * vc[0] + w * n[2],
-        )
+        om = _rolling_omega(n, vc, w)
         r = math.sqrt(s)
         e1 = (a1 / r, a2 / r)
         chidot = (a1 * ad2 - a2 * ad1) / s
@@ -402,11 +421,7 @@ class SystemSpec:
             a1, a2, ad1, ad2 = y[0], y[1], y[2], y[3]
             w = y[8]
             s, g1, g2, n, nd, vc = self._ball_geometry(a1, a2, ad1, ad2)
-            om = (
-                n[1] * vc[2] - n[2] * vc[1] + w * n[0],
-                n[2] * vc[0] - n[0] * vc[2] + w * n[1],
-                n[0] * vc[1] - n[1] * vc[0] + w * n[2],
-            )
+            om = _rolling_omega(n, vc, w)
             v2 = vc[0] ** 2 + vc[1] ** 2 + vc[2] ** 2
             o2 = om[0] ** 2 + om[1] ** 2 + om[2] ** 2
             return pr.mass * (
@@ -423,11 +438,7 @@ class SystemSpec:
         a1, a2, ad1, ad2 = y[0], y[1], y[2], y[3]
         w = y[8]
         _, _, _, n, _, vc = self._ball_geometry(a1, a2, ad1, ad2)
-        om = (
-            n[1] * vc[2] - n[2] * vc[1] + w * n[0],
-            n[2] * vc[0] - n[0] * vc[2] + w * n[1],
-            n[0] * vc[1] - n[1] * vc[0] + w * n[2],
-        )
+        om = _rolling_omega(n, vc, w)
         # contact velocity = v_c - omega x n  (contact offset is -n)
         res = (
             vc[0] - (om[1] * n[2] - om[2] * n[1]),

@@ -34,7 +34,7 @@ import numpy as np
 from scipy.integrate import DOP853
 from scipy.optimize import brentq
 
-from .dynsys import PhasePoint, SystemSpec
+from .dynsys import IntegrationDefaults, PhasePoint, SystemSpec
 from .errors import (
     DomainError,
     IntegrationError,
@@ -200,9 +200,8 @@ def flow_trajectory(
     """Integrate forward from m to time t >= 0, keeping dense output."""
     if not (t >= 0.0 and math.isfinite(t)):
         raise ValueError("flow_trajectory needs finite t >= 0")
-    rtol = spec.defaults.rtol if rtol is None else rtol
-    atol = spec.defaults.atol if atol is None else atol
-    return _Marcher(spec, spec.pack(m), t, rtol, atol).run()
+    s = spec.defaults.override(rtol=rtol, atol=atol)
+    return _Marcher(spec, spec.pack(m), t, s.rtol, s.atol).run()
 
 
 def flow(spec: SystemSpec, m: PhasePoint, t: float, rtol=None, atol=None) -> PhasePoint:
@@ -213,15 +212,10 @@ def flow(spec: SystemSpec, m: PhasePoint, t: float, rtol=None, atol=None) -> Pha
         raise ValueError("t must be finite")
     if t == 0.0:
         return m
-    rtol = spec.defaults.rtol if rtol is None else rtol
-    atol = spec.defaults.atol if atol is None else atol
-    if t > 0.0:
-        traj = _Marcher(spec, spec.pack(m), t, rtol, atol).run()
-        return spec.unpack(traj.states[-1])
+    s = spec.defaults.override(rtol=rtol, atol=atol)
     # backward flow = forward flow of the negated field
-    traj = _Marcher(
-        spec, spec.pack(m), -t, rtol, atol, rhs=lambda tt, y: -spec.rhs(tt, y)
-    ).run()
+    rhs = None if t > 0.0 else lambda tt, y: -spec.rhs(tt, y)
+    traj = _Marcher(spec, spec.pack(m), abs(t), s.rtol, s.atol, rhs=rhs).run()
     return spec.unpack(traj.states[-1])
 
 
@@ -234,39 +228,23 @@ class PeriodResult:
     crossing_refinement_iterations: int
 
 
-def _period_search(
-    spec: SystemSpec,
-    m: PhasePoint,
-    rtol=None,
-    atol=None,
-    tol_closure=None,
-    min_period=None,
-    t_max=None,
-    v_min=None,
-):
-    """Core search; returns (PeriodResult, trajectory covering [0, tau])."""
-    d = spec.defaults
-    rtol = d.rtol if rtol is None else rtol
-    atol = d.atol if atol is None else atol
-    tol_closure = d.tol_closure if tol_closure is None else tol_closure
-    min_period = d.min_period if min_period is None else min_period
-    t_max = d.t_max if t_max is None else t_max
-    v_min = d.v_min if v_min is None else v_min
-
+def _period_search(spec: SystemSpec, m: PhasePoint, s: IntegrationDefaults):
+    """Core search at the settings ``s``; returns (PeriodResult, trajectory
+    covering [0, tau])."""
     y0 = spec.pack(m)
     rp0 = spec.reduce_y(y0)
     scale = max(1.0, float(np.linalg.norm(rp0)))
     v0 = spec.reduced_velocity(y0)
     speed = float(np.linalg.norm(v0))
-    if speed < v_min * scale:
+    if speed < s.v_min * scale:
         raise PeriodNotFoundError(
-            f"reduced speed {speed:.3e} is below v_min = {v_min * scale:.3e}: "
+            f"reduced speed {speed:.3e} is below v_min = {s.v_min * scale:.3e}: "
             "the reduced orbit is (numerically) an equilibrium, so no "
             "minimal period exists"
         )
     v0n = v0 / speed
 
-    marcher = _Marcher(spec, y0, t_max, rtol, atol)
+    marcher = _Marcher(spec, y0, s.t_max, s.rtol, s.atol)
     traj = marcher.traj
 
     def sigma_of(seg):
@@ -291,17 +269,17 @@ def _period_search(
         for i in range(1, len(ts)):
             if not (vals[i - 1] < 0.0 <= vals[i]):
                 continue
-            if ts[i] <= min_period:
+            if ts[i] <= s.min_period:
                 continue
             t_star, rr = brentq(
                 lambda t: float(sig(np.array([t]))[0]),
                 ts[i - 1], ts[i], xtol=1e-13, rtol=1e-15, full_output=True,
             )
-            if t_star <= min_period:
+            if t_star <= s.min_period:
                 continue
             found_crossing = True
             residual = float(np.linalg.norm(spec.reduce_y(seg(t_star)) - rp0))
-            if residual < tol_closure * scale:
+            if residual < s.tol_closure * scale:
                 return (
                     PeriodResult(float(t_star), residual, int(rr.iterations)),
                     traj,
@@ -310,23 +288,25 @@ def _period_search(
 
     if not found_crossing:
         raise PeriodNotFoundError(
-            f"no positively-oriented section crossing before t_max = {t_max}"
+            f"no positively-oriented section crossing before t_max = {s.t_max}"
         )
     raise NotPeriodicError(
         "section crossings found but the reduced state never returned to "
         f"its start (best residual {best_residual:.3e} vs tolerance "
-        f"{tol_closure * scale:.3e})",
+        f"{s.tol_closure * scale:.3e})",
         best_residual=best_residual,
-        t_searched=t_max,
+        t_searched=s.t_max,
     )
 
 
 def find_reduced_period(spec: SystemSpec, m: PhasePoint, **kwargs) -> PeriodResult:
     """Smallest return time of the reduced trajectory (see module doc).
 
-    Keyword overrides: rtol, atol, tol_closure, min_period, t_max, v_min.
+    Keyword overrides are fields of :class:`IntegrationDefaults`; each
+    non-None one replaces ``spec.defaults``' value (``tol_phase`` has no
+    effect here) and an unknown name raises TypeError.
     """
-    result, _ = _period_search(spec, m, **kwargs)
+    result, _ = _period_search(spec, m, spec.defaults.override(**kwargs))
     return result
 
 

@@ -127,8 +127,10 @@ def phase(
     the phase is a regular group element."""
     if m.system is not spec:
         raise ValueError("phase point belongs to a different system")
-    tol_phase = spec.defaults.tol_phase if tol_phase is None else tol_phase
-    pr, traj = _period_search(spec, m, rtol=rtol, atol=atol, **period_kwargs)
+    s = spec.defaults.override(
+        rtol=rtol, atol=atol, tol_phase=tol_phase, **period_kwargs
+    )
+    pr, traj = _period_search(spec, m, s)
     m_tau = traj.eval(pr.tau)
     gamma = _solve_group_element(m, m_tau)
     defining = state_distance(act(gamma, m), m_tau)
@@ -137,10 +139,10 @@ def phase(
         "defining": defining,
         "section_iterations": pr.crossing_refinement_iterations,
     }
-    if defining > tol_phase:
+    if defining > s.tol_phase:
         raise PhaseInconsistencyError(
             f"phase extraction residual {defining:.3e} exceeds tol_phase = "
-            f"{tol_phase:.3e}; the integration did not return to the group "
+            f"{s.tol_phase:.3e}; the integration did not return to the group "
             "orbit accurately enough",
             residual=defining,
         )

@@ -4,13 +4,14 @@ codes, output formats, determinism, env/flag overrides."""
 import json
 import math
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 import reconphase.cli as cli
 import reconphase.config as cfg
-from reconphase import BALL, ConfigError
+from reconphase import BALL, ConfigError, IntegrationDefaults
 from reconphase.verify import CheckReport
 
 BALL_CONFIG = {
@@ -115,9 +116,59 @@ def test_config_file_integration_block_beats_defaults():
     assert resolved["integration"]["rtol"] == 1e-4
 
 
-def test_bad_env_value_is_config_error():
-    with pytest.raises(ConfigError, match="RECONPHASE_RTOL"):
-        cfg.resolve_config(BALL_CONFIG, env={"RECONPHASE_RTOL": "fast"})
+@pytest.mark.parametrize("value", ["fast", "-1", "0", "nan", "inf"])
+def test_bad_env_value_is_config_error(tmp_path, monkeypatch, capsys, value):
+    for var in ("RECONPHASE_RTOL", "RECONPHASE_ATOL", "RECONPHASE_TOL_CLOSURE",
+                "RECONPHASE_TOL_PHASE"):
+        with pytest.raises(ConfigError, match=var):
+            cfg.resolve_config(BALL_CONFIG, env={var: value})
+    monkeypatch.setenv("RECONPHASE_TOL_PHASE", value)
+    config = write_config(tmp_path, BALL_CONFIG)
+    assert run_cli("phase", "--config", config, "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err.startswith("config error: RECONPHASE_TOL_PHASE")
+    assert not (tmp_path / "phase.json").exists()
+
+
+@pytest.mark.parametrize(
+    "base, block, key, value, token",
+    [
+        (RIGID_CONFIG, "initial_state", "omega", ["@", 0.2, 0.3], "NaN"),
+        (BALL_CONFIG, "initial_state", "a_dot", [0.1, "@"], "Infinity"),
+        (BALL_CONFIG, "initial_state", "a_dot", [0.1, "@"], "-Infinity"),
+        (BALL_CONFIG, "integration", "tol_closure", "@", "NaN"),
+        (BALL_CONFIG, "integration", "rtol", "@", "1e400"),
+    ],
+    ids=["omega-NaN", "a_dot-Infinity", "a_dot-minus-Infinity", "tol_closure-NaN",
+         "rtol-1e400"],
+)
+def test_non_finite_config_number_exits_two(tmp_path, capsys, base, block, key,
+                                            value, token):
+    # json reads NaN/Infinity literals and overflows 1e400 to inf
+    doc = json.loads(json.dumps(base))
+    doc.setdefault(block, {})[key] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc).replace('"@"', token))
+    with pytest.raises(ConfigError, match="not a finite number"):
+        cfg.load_config(str(path))
+    assert run_cli("phase", "--config", str(path), "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "phase.json").exists()
+
+
+def test_all_integration_settings_round_trip():
+    values = {
+        "rtol": 3e-9,
+        "atol": 2e-11,
+        "t_max": 250.0,
+        "tol_closure": 5e-6,
+        "tol_phase": 4e-6,
+        "min_period": 0.02,
+        "v_min": 3e-4,
+    }
+    assert values.keys() == asdict(IntegrationDefaults()).keys()
+    assert all(v != getattr(IntegrationDefaults(), k) for k, v in values.items())
+    resolved = cfg.resolve_config(dict(BALL_CONFIG, integration=values), env={})
+    assert cfg.build_system(resolved).defaults == IntegrationDefaults(**values)
 
 
 def test_build_system_and_state_both_kinds():

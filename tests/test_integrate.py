@@ -8,11 +8,13 @@ equations near a stable axis, and re-integration at a tighter tolerance.
 import csv
 import io
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from reconphase.dynsys import (
+    IntegrationDefaults,
     SurfaceProfile,
     act,
     ball_point,
@@ -35,6 +37,7 @@ from reconphase.integrate import (
     flow_trajectory,
 )
 from reconphase.liegroup import GroupElement, Rotation, exp_so3
+from reconphase.reconstruct import phase
 
 
 @pytest.fixture(scope="module")
@@ -228,10 +231,55 @@ def test_not_periodic_when_closure_unattainable(ball, mball):
 
 def test_energy_drift_below_contract_over_one_period(ball, rigid, mball, mrigid):
     for spec, m in ((ball, mball), (rigid, mrigid)):
-        pr, traj = _period_search(spec, m, rtol=1e-10, atol=1e-12)
+        settings = spec.defaults.override(rtol=1e-10, atol=1e-12)
+        pr, traj = _period_search(spec, m, settings)
         E0 = spec.energy_y(spec.pack(m))
         drift = max(abs(spec.energy_y(y) - E0) for y in traj.states)
         assert drift / abs(E0) < 1e-9
+
+
+# ----------------------------------------------------------------------
+# integration settings
+# ----------------------------------------------------------------------
+
+
+def test_override_replaces_only_given_settings():
+    d = IntegrationDefaults()
+    assert d.override() is d
+    assert d.override(rtol=None, t_max=None) is d
+    o = d.override(rtol=1e-8, v_min=None, t_max=5.0)
+    assert o == IntegrationDefaults(rtol=1e-8, t_max=5.0)
+
+
+@pytest.mark.parametrize("kind", ["ball", "rigid"])
+def test_explicit_default_settings_equal_none(kind, ball, rigid, mball, mrigid):
+    spec, m = (ball, mball) if kind == "ball" else (rigid, mrigid)
+    written = asdict(spec.defaults)
+    p_none, p_explicit = phase(spec, m), phase(spec, m, **written)
+    assert p_explicit.to_dict() == p_none.to_dict()
+    assert np.array_equal(p_explicit._trajectory.states, p_none._trajectory.states)
+    assert find_reduced_period(spec, m, **written) == find_reduced_period(spec, m)
+    tol = dict(rtol=written["rtol"], atol=written["atol"])
+    for t in (2.1, -1.3):
+        explicit = spec.pack(flow(spec, m, t, **tol))
+        assert np.array_equal(explicit, spec.pack(flow(spec, m, t)))
+    assert np.array_equal(flow_trajectory(spec, m, 2.1, **tol).states,
+                          flow_trajectory(spec, m, 2.1).states)
+    # and a setting that differs from the default does reach the search
+    assert find_reduced_period(spec, m, rtol=1e-8).tau != p_none.tau
+
+
+def test_unknown_setting_raises_type_error(ball, mball):
+    with pytest.raises(TypeError):
+        IntegrationDefaults().override(rtool=1e-9)
+    with pytest.raises(TypeError):
+        IntegrationDefaults().override(rtool=None)
+    with pytest.raises(TypeError):
+        phase(ball, mball, rtool=1e-9)
+    with pytest.raises(TypeError):
+        find_reduced_period(ball, mball, tol_closures=None)
+    with pytest.raises(TypeError):
+        flow(ball, mball, 1.0, tol_closure=1e-7)
 
 
 # ----------------------------------------------------------------------
