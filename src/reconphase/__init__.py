@@ -40,7 +40,6 @@ from .errors import (
 from .liegroup import (
     GroupElement,
     Rotation,
-    TorusElement,
     Xi,
     conj,
     conjugator_to_torus,
@@ -50,7 +49,6 @@ from .liegroup import (
     is_regular,
     projective_distance,
     torus_coords,
-    torus_element,
     torus_rank,
     weyl_representative,
 )
@@ -59,18 +57,14 @@ from .dynsys import (
     RIGID,
     IntegrationDefaults,
     PhasePoint,
-    ReducedPoint,
     SurfaceProfile,
     SystemSpec,
     act,
     ball_point,
     d_act,
-    energy,
     make_ball_system,
     make_rigid_body,
-    reduce,
     rigid_point,
-    rolling_residual,
     state_distance,
     vector_field,
 )

@@ -97,8 +97,10 @@ def cmd_simulate(resolved: dict, t_end: float) -> int:
     if not (t_end > 0 and math.isfinite(t_end)):
         raise ConfigError("--t-end must be a positive finite time")
     traj = flow_trajectory(spec, m0, t_end)
+    buf = io.StringIO()
+    export_csv(traj, buf, config_echo=_config_echo(resolved))
     path = _out_path(resolved, "trajectory.csv")
-    export_csv(traj, path, config_echo=_config_echo(resolved))
+    _write_text(path, buf.getvalue())
     print(
         f"simulate: {len(traj.times)} nodes over t=[0, {_fmt(t_end)}] -> {path}"
     )
@@ -157,7 +159,7 @@ def cmd_torus(resolved: dict, grid: int) -> int:
             "torus chart requires a regular phase (conjugate the initial "
             "state away from the symmetry axis)"
         )
-    rank = p.eta.beta.size
+    rank = p.eta.size
     ticks = [i / grid for i in range(grid)]
     beta_cols = [f"beta_{j + 1}" for j in range(rank)]
     cols = ["alpha", *beta_cols, *spec.state_columns(), "conjugacy_residual"]
@@ -178,7 +180,7 @@ def cmd_torus(resolved: dict, grid: int) -> int:
             x = torus_embed(spec, p, alpha, beta)
             lhs = flow(spec, x, TORUS_PROBE * p.tau)
             rhs = torus_embed(
-                spec, p, alpha + TORUS_PROBE, beta + TORUS_PROBE * p.eta.beta
+                spec, p, alpha + TORUS_PROBE, beta + TORUS_PROBE * p.eta
             )
             resid = state_distance(lhs, rhs)
             worst = max(worst, resid)
@@ -316,7 +318,7 @@ def cmd_sweep(resolved: dict, param: str, values) -> int:
         else:
             status = "ok"
             freq = list(p.frequencies)
-            eta = list(p.eta.beta)
+            eta = list(p.eta)
             delta = list(p.delta_rep)
             n_ok += 1
         taus.append(p.tau)

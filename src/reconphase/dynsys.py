@@ -50,9 +50,10 @@ Packing note: ``PhasePoint`` reuses the ball fields — Omega is stored as
 
 Reduction
 ---------
-``reduce`` quotients the full symmetry group.  Ball: the S^1-invariants
-of (a, a_dot) as a 4-vector (b, w) with b the standard quadratic-map
-image of R^4\\{0} in R^3\\{0} (anchor: a=(1,0), a_dot=0 -> b=(1/2,0,0)),
+``SystemSpec.reduce_y`` quotients the full symmetry group: it maps a
+packed state to a reduced 4-vector.  Ball: the S^1-invariants of
+(a, a_dot) as (b, w) with b the standard quadratic-map image of
+R^4\\{0} in R^3\\{0} (anchor: a=(1,0), a_dot=0 -> b=(1/2,0,0)),
 w passed through; the attitude disappears with the SO(3) factor.  Rigid
 body: body angular momentum b = I Omega (w slot kept at 0 so reduced
 states are uniformly 4-vectors).
@@ -175,27 +176,6 @@ class PhasePoint:
 
 
 @dataclass(frozen=True)
-class ReducedPoint:
-    """Image of a PhasePoint under the symmetry quotient."""
-
-    b: np.ndarray
-    w: float
-
-    def __post_init__(self):
-        b = np.asarray(self.b, dtype=float)
-        if b.shape != (3,):
-            raise ValueError("b must be a 3-vector")
-        if float(b @ b) == 0.0:
-            raise ValueError("reduced point must have b != 0")
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "w", float(self.w))
-        b.flags.writeable = False
-
-    def to_vector(self) -> np.ndarray:
-        return np.array([self.b[0], self.b[1], self.b[2], self.w])
-
-
-@dataclass(frozen=True)
 class IntegrationDefaults:
     """The settings of one ``phase()`` integration.  These fields are the
     only list of them: the config's ``integration`` block, its resolution
@@ -208,6 +188,16 @@ class IntegrationDefaults:
     tol_phase: float = 1e-7
     min_period: float = 1e-3
     v_min: float = 1e-5
+
+    def __post_init__(self):
+        # DOP853 would raise a smaller rtol to this floor with only a
+        # warning, while every output echoes the value asked for
+        floor = 100 * np.finfo(float).eps
+        if self.rtol < floor:
+            raise ConfigError(
+                f"integration rtol {self.rtol:.3g} is below the integrator's "
+                f"floor 100*eps = {floor:.3g}"
+            )
 
     def override(self, **kw) -> "IntegrationDefaults":
         """This record with every non-None keyword replacing its field, or
@@ -237,7 +227,6 @@ class SystemSpec:
 
     kind: str
     group: str
-    dim: int            # manifold dimension (8 ball / 6 rigid)
     nstate: int         # packed-vector length (9 ball / 7 rigid)
     profile: Optional[SurfaceProfile] = None
     inertia: Optional[np.ndarray] = None
@@ -522,20 +511,6 @@ def d_act(g: GroupElement, m: PhasePoint, v: np.ndarray) -> np.ndarray:
     return np.array(v, dtype=float)
 
 
-def reduce(m: PhasePoint) -> ReducedPoint:
-    """Quotient by the full symmetry group; see module docstring."""
-    r = m.system.reduce_y(m.system.pack(m))
-    return ReducedPoint(r[:3], r[3])
-
-
-def energy(m: PhasePoint) -> float:
-    return m.system.energy_y(m.system.pack(m))
-
-
-def rolling_residual(m: PhasePoint) -> float:
-    return m.system.rolling_residual_y(m.system.pack(m))
-
-
 def state_distance(m1: PhasePoint, m2: PhasePoint) -> float:
     """Uniform state metric used by the phase checks: max over blocks of
     the Euclidean block distances and the rotation geodesic angle."""
@@ -576,7 +551,6 @@ def make_ball_system(
     return SystemSpec(
         kind=BALL,
         group=S1XSO3,
-        dim=8,
         nstate=9,
         profile=profile,
         annulus=(rmin, rmax),
@@ -596,7 +570,6 @@ def make_rigid_body(
     return SystemSpec(
         kind=RIGID,
         group=SO3,
-        dim=6,
         nstate=7,
         inertia=inertia,
         defaults=defaults or IntegrationDefaults(),

@@ -25,9 +25,7 @@ orbit is reported as not periodic.
 
 from __future__ import annotations
 
-import io
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -315,25 +313,17 @@ def find_reduced_period(spec: SystemSpec, m: PhasePoint, **kwargs) -> PeriodResu
 # ---------------------------------------------------------------------------
 
 
-def export_csv(traj: Trajectory, path, config_echo: str = None):
-    """Write the trajectory nodes as CSV: time, packed state components,
-    pointwise invariants.  Floats use shortest round-trip formatting."""
+def export_csv(traj: Trajectory, stream, config_echo: str = None):
+    """Write the trajectory nodes as CSV to a text stream: time, packed
+    state components, pointwise invariants.  Floats use shortest
+    round-trip formatting."""
     spec = traj.spec
-    buf = io.StringIO()
-    buf.write("# reconphase trajectory csv v1\n")
-    buf.write(f"# system: {spec.kind}\n")
+    stream.write("# reconphase trajectory csv v1\n")
+    stream.write(f"# system: {spec.kind}\n")
     if config_echo is not None:
-        buf.write(f"# config: {config_echo}\n")
+        stream.write(f"# config: {config_echo}\n")
     cols = ("t",) + spec.state_columns() + spec.invariant_names()
-    buf.write(",".join(cols) + "\n")
+    stream.write(",".join(cols) + "\n")
     for t, y in zip(traj.times, traj.states):
         row = [t, *y, *spec.invariants_y(y)]
-        buf.write(",".join(repr(float(v)) for v in row) + "\n")
-    data = buf.getvalue()
-    if hasattr(path, "write"):
-        path.write(data)
-        return
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+        stream.write(",".join(repr(float(v)) for v in row) + "\n")

@@ -169,9 +169,6 @@ class Rotation:
     def __repr__(self):
         return f"Rotation({np.array2string(self.q, precision=6)})"
 
-    def isclose(self, other: "Rotation", tol: float = 1e-12) -> bool:
-        return self.distance(other) <= tol
-
 
 def exp_so3(omega) -> Rotation:
     """Exponential of a rotation vector ``omega`` (axis * angle)."""
@@ -296,26 +293,19 @@ def conjugator_to_torus(g: GroupElement, tol: float = 1e-6) -> GroupElement:
     return GroupElement(0.0, h_rot, g.group)
 
 
-@dataclass(frozen=True)
-class TorusElement:
-    """Coordinates in the reference torus, each slot in [0, 1)."""
-
-    beta: np.ndarray
-    group: str = S1XSO3
-
-    def __post_init__(self):
-        beta = np.mod(np.asarray(self.beta, dtype=float), 1.0)
-        # mod can return 1.0 for tiny negative inputs
-        beta[beta >= 1.0] = 0.0
-        if beta.shape != (torus_rank(self.group),):
-            raise ValueError(
-                f"beta must have shape ({torus_rank(self.group)},) for {self.group!r}"
-            )
-        object.__setattr__(self, "beta", beta)
+def _torus_beta(beta, group: str) -> np.ndarray:
+    """Torus coordinates reduced to [0, 1)^r, checked against the rank."""
+    beta = np.mod(np.asarray(beta, dtype=float), 1.0)
+    # mod can return 1.0 for tiny negative inputs
+    beta[beta >= 1.0] = 0.0
+    if beta.shape != (torus_rank(group),):
+        raise ValueError(f"beta must have shape ({torus_rank(group)},) for {group!r}")
+    return beta
 
 
-def torus_coords(g: GroupElement, tol: float = 1e-10) -> TorusElement:
-    """Lattice coordinates of an element of the reference torus.
+def torus_coords(g: GroupElement, tol: float = 1e-10) -> np.ndarray:
+    """Lattice coordinates ``beta`` in [0, 1)^r of an element of the
+    reference torus.
 
     The rotation part must be about +-e3 (within ``tol`` measured as the
     geodesic distance to the nearest rotation about e3); otherwise a
@@ -333,23 +323,17 @@ def torus_coords(g: GroupElement, tol: float = 1e-10) -> TorusElement:
         )
     phi_z = 2.0 * math.atan2(qz, qw)
     if g.group == SO3:
-        return TorusElement(np.array([phi_z / TWO_PI]), g.group)
-    return TorusElement(np.array([g.theta / TWO_PI, phi_z / TWO_PI]), g.group)
-
-
-def torus_element(t: TorusElement) -> GroupElement:
-    """Exponential of torus coordinates through the lattice basis
-    (``Xi`` map): 1-periodic in every beta slot."""
-    if t.group == SO3:
-        return GroupElement(0.0, exp_so3(TWO_PI * t.beta[0] * E3), t.group)
-    return GroupElement(
-        TWO_PI * t.beta[0], exp_so3(TWO_PI * t.beta[1] * E3), t.group
-    )
+        return _torus_beta([phi_z / TWO_PI], g.group)
+    return _torus_beta([g.theta / TWO_PI, phi_z / TWO_PI], g.group)
 
 
 def Xi(beta, group: str = S1XSO3) -> GroupElement:
-    """Convenience wrapper: Xi(beta) = torus_element(TorusElement(beta))."""
-    return torus_element(TorusElement(np.asarray(beta, dtype=float), group))
+    """Exponential of torus coordinates through the lattice basis:
+    1-periodic in every beta slot."""
+    beta = _torus_beta(beta, group)
+    if group == SO3:
+        return GroupElement(0.0, exp_so3(TWO_PI * beta[0] * E3), group)
+    return GroupElement(TWO_PI * beta[0], exp_so3(TWO_PI * beta[1] * E3), group)
 
 
 def fold_projective(u) -> np.ndarray:

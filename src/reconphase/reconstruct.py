@@ -44,7 +44,6 @@ from .liegroup import (
     E3,
     GroupElement,
     Rotation,
-    TorusElement,
     Xi,
     conj,
     conjugator_to_torus,
@@ -65,7 +64,7 @@ class PhaseResult:
     gamma: GroupElement
     regular: bool
     conjugator: Optional[GroupElement]
-    eta: Optional[TorusElement]
+    eta: Optional[np.ndarray]
     frequencies: Optional[np.ndarray]
     delta_rep: Optional[np.ndarray]
     residuals: dict
@@ -84,7 +83,7 @@ class PhaseResult:
             "gamma": group_el(self.gamma),
             "regular": self.regular,
             "conjugator": group_el(self.conjugator),
-            "eta": None if self.eta is None else list(self.eta.beta),
+            "eta": None if self.eta is None else list(self.eta),
             "frequencies": None
             if self.frequencies is None
             else list(self.frequencies),
@@ -151,7 +150,7 @@ def phase(
     if regular:
         conjugator = conjugator_to_torus(gamma)
         eta = torus_coords(conj(conjugator, gamma), tol=1e-8)
-        freqs = np.concatenate([[1.0 / pr.tau], eta.beta / pr.tau])
+        freqs = np.concatenate([[1.0 / pr.tau], eta / pr.tau])
         freqs.flags.writeable = False
         delta_rep = weyl_representative(conjugator)
     return PhaseResult(
@@ -180,7 +179,7 @@ def frequency_mismatch(f1, f2, tau: float) -> float:
     return d
 
 
-def _conjugated_torus_element(p: PhaseResult, beta, group: str) -> GroupElement:
+def _centralizer_element(p: PhaseResult, beta, group: str) -> GroupElement:
     """Element of T_m = g_m^-1 T g_m with reference coordinates beta."""
     g_m = p.conjugator
     return (g_m.inverse() @ Xi(beta, group)) @ g_m
@@ -197,7 +196,7 @@ def torus_embed(
     """
     if not p.regular:
         raise DomainError("torus embedding requires a regular phase")
-    h_beta = _conjugated_torus_element(p, np.asarray(beta, float), spec.group)
+    h_beta = _centralizer_element(p, beta, spec.group)
     return flower_frame(spec, p, alpha, h_beta)
 
 
@@ -217,7 +216,7 @@ def flower_frame(
     if not p.regular:
         raise DomainError("the flower frame requires a regular phase")
     f = alpha % 1.0
-    h_f = _conjugated_torus_element(p, f * p.eta.beta, spec.group)
+    h_f = _centralizer_element(p, f * p.eta, spec.group)
     return act(g @ h_f.inverse(), p._trajectory.eval(f * p.tau))
 
 
@@ -272,12 +271,12 @@ def weyl_partner(spec: SystemSpec, m: PhasePoint, p: PhaseResult = None):
 
 
 def reduced_orbit_distance(spec: SystemSpec, p: PhaseResult, m2: PhasePoint):
-    """Minimum distance of reduce(m2) to the (periodic) reduced orbit
-    recorded in p's trajectory: the closest of 512 grid times, evaluated
-    with one array call to the trajectory, refined by a bounded scalar
-    search.  Returns (distance, argmin time in [0, tau)).  The reduced
-    orbit closes at tau, so times are read modulo tau and the refinement
-    may cross the seam."""
+    """Minimum distance of the reduced state of m2 (``spec.reduce_y``) to
+    the (periodic) reduced orbit recorded in p's trajectory: the closest
+    of 512 grid times, evaluated with one array call to the trajectory,
+    refined by a bounded scalar search.  Returns (distance, argmin time
+    in [0, tau)).  The reduced orbit closes at tau, so times are read
+    modulo tau and the refinement may cross the seam."""
     traj = p._trajectory
     y2r = spec.reduce_y(spec.pack(m2))
 

@@ -50,7 +50,6 @@ from .errors import (
 )
 from .integrate import find_reduced_period, flow
 from .liegroup import (
-    E2,
     GroupElement,
     Rotation,
     conj,
@@ -188,20 +187,26 @@ def sample_ball(spec: SystemSpec, rng, n: int):
     return out
 
 
+def _family_margin(inertia, L) -> float:
+    """I_mid L.(L/I) / |L|^2 - 1 for body momentum L, with I_mid the
+    middle principal moment, in whatever order the moments are listed."""
+    L2 = float(L @ L)
+    return float(np.sort(inertia)[1] * (L @ (L / inertia)) / L2 - 1.0)
+
+
 def rigid_family_margin(spec: SystemSpec, omega) -> float:
     """Separatrix classifier for the Euler flow: positive for loops around
-    the short axis (e1 family), negative for the long axis (e3 family),
-    zero on the separatrix through the middle axis."""
-    inertia = spec.inertia
-    L = inertia * np.asarray(omega, float)
-    L2 = float(L @ L)
-    return float(inertia[1] * (L @ (L / inertia)) / L2 - 1.0)
+    the axis of the smallest moment, negative for the largest, zero on
+    the separatrix through the axis of the middle moment."""
+    return _family_margin(spec.inertia, spec.inertia * np.asarray(omega, float))
 
 
 def sample_rigid(spec: SystemSpec, rng, n: int, margin: float = 0.12):
     """Rigid-body initial conditions stratified across both stable-axis
-    families, keeping a margin from the separatrix (|classifier| >=
-    ``margin``) and from the middle axis itself."""
+    families (smallest- and largest-moment axis), keeping a margin from
+    the separatrix (|classifier| >= ``margin``) and from the axis of the
+    middle moment itself."""
+    mid_axis = np.eye(3)[np.argsort(spec.inertia, kind="stable")[1]]
     out = []
     want_positive = True
     budget = draws = 200 * n
@@ -213,7 +218,7 @@ def sample_rigid(spec: SystemSpec, rng, n: int, margin: float = 0.12):
         draws -= 1
         u = rng.normal(size=3)
         u /= np.linalg.norm(u)
-        if min(np.linalg.norm(u - E2), np.linalg.norm(u + E2)) < 0.35:
+        if min(np.linalg.norm(u - mid_axis), np.linalg.norm(u + mid_axis)) < 0.35:
             continue
         L = float(rng.uniform(0.8, 1.5))
         omega = L * u / spec.inertia
@@ -321,7 +326,7 @@ def check_linearization(spec, samples, tol, seed=None, rtol=None, atol=None,
     t_fracs = (0.15, 0.45, 0.75)
 
     def residual(m, p, rng):
-        rank = p.eta.beta.size
+        rank = p.eta.size
         betas = [np.zeros(rank), np.full(rank, 0.3), np.full(rank, 0.7)]
         if rank == 2:
             betas[2] = np.array([0.7, 0.2])
@@ -331,7 +336,7 @@ def check_linearization(spec, samples, tol, seed=None, rtol=None, atol=None,
                 x = torus_embed(spec, p, al, be)
                 for tf in t_fracs:
                     lhs = flow(spec, x, tf * p.tau, rtol=rtol, atol=atol)
-                    rhs = torus_embed(spec, p, al + tf, be + tf * p.eta.beta)
+                    rhs = torus_embed(spec, p, al + tf, be + tf * p.eta)
                     worst = max(worst, state_distance(lhs, rhs))
         return worst
 
@@ -370,7 +375,7 @@ def check_delta_integral(spec, samples, tol, seed=None) -> CheckReport:
         for frac in (0.35, 1.6):
             pt = phase(spec, flow(spec, m, frac * p.tau))
             worst = max(worst, projective_distance(pt.delta_rep, p.delta_rep))
-        rank = p.eta.beta.size
+        rank = p.eta.size
         x = torus_embed(spec, p, 0.4, np.full(rank, 0.3))
         px = phase(spec, x)
         worst = max(worst, projective_distance(px.delta_rep, p.delta_rep))
@@ -487,7 +492,7 @@ def _family_pole(inertia, u0) -> np.ndarray:
     the separatrix energy, the largest's below.  Separatrix-adjacent
     loops raise OracleUnavailableError."""
     order = np.argsort(inertia, kind="stable")
-    kappa = float(inertia[order[1]] * (u0 @ (u0 / inertia)) - 1.0)
+    kappa = _family_margin(inertia, u0)
     if abs(kappa) < 1e-3:
         raise OracleUnavailableError(
             f"momentum loop too close to the separatrix (margin {kappa:.2e})"

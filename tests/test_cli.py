@@ -155,6 +155,25 @@ def test_non_finite_config_number_exits_two(tmp_path, capsys, base, block, key,
     assert not (tmp_path / "phase.json").exists()
 
 
+def test_rtol_below_integrator_floor_is_config_error(tmp_path, monkeypatch, capsys):
+    # DOP853 would silently raise a smaller rtol to 100 eps
+    floor = 100 * np.finfo(float).eps
+    assert IntegrationDefaults(rtol=floor).rtol == floor
+    for make in (lambda: IntegrationDefaults(rtol=1e-20),
+                 lambda: IntegrationDefaults().override(rtol=1e-20)):
+        with pytest.raises(ConfigError, match="floor"):
+            make()
+    config = write_config(tmp_path, dict(BALL_CONFIG, integration={"rtol": 1e-20}))
+    assert run_cli("phase", "--config", config, "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "phase.json").exists()
+    monkeypatch.setenv("RECONPHASE_RTOL", "1e-20")
+    config = write_config(tmp_path, BALL_CONFIG)
+    assert run_cli("phase", "--config", config, "--out", str(tmp_path)) == 2
+    assert "floor" in capsys.readouterr().err
+    assert not (tmp_path / "phase.json").exists()
+
+
 def test_all_integration_settings_round_trip():
     values = {
         "rtol": 3e-9,
@@ -254,6 +273,16 @@ def test_verify_subset_passes(tmp_path):
     assert [r["name"] for r in doc["reports"]] == ["vf_invariance", "equivariance"]
     assert all(r["verdict"] == "pass" for r in doc["reports"])
     assert "wall_time" not in doc["reports"][0]
+
+
+def test_verify_unsorted_inertia_passes(tmp_path):
+    doc = json.loads(json.dumps(RIGID_CONFIG))
+    doc["system"]["inertia"] = [2.0, 1.0, 3.0]
+    config = write_config(tmp_path, doc)
+    assert run_cli("verify", "--config", config, "--checks", "vf_invariance",
+                   "--out", str(tmp_path)) == 0
+    doc = json.loads((tmp_path / "verify.json").read_text())
+    assert doc["reports"][0]["verdict"] == "pass"
 
 
 def test_verify_empty_check_list_is_ok(tmp_path):

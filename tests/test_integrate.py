@@ -18,7 +18,6 @@ from reconphase.dynsys import (
     SurfaceProfile,
     act,
     ball_point,
-    energy,
     make_ball_system,
     make_rigid_body,
     rigid_point,
@@ -287,11 +286,11 @@ def test_unknown_setting_raises_type_error(ball, mball):
 # ----------------------------------------------------------------------
 
 
-def test_export_csv_round_trips(ball, mball, tmp_path):
+def test_export_csv_round_trips(ball, mball):
     traj = flow_trajectory(ball, mball, 2.0)
-    out = tmp_path / "traj.csv"
-    export_csv(traj, str(out), config_echo='{"system":"ball"}')
-    lines = out.read_text().splitlines()
+    buf = io.StringIO()
+    export_csv(traj, buf, config_echo='{"system":"ball"}')
+    lines = buf.getvalue().splitlines()
     assert lines[0].startswith("# reconphase trajectory csv v1")
     header_idx = next(i for i, l in enumerate(lines) if not l.startswith("#"))
     reader = csv.DictReader(lines[header_idx:])

@@ -19,7 +19,6 @@ from reconphase.liegroup import (
     S1XSO3,
     GroupElement,
     Rotation,
-    TorusElement,
     Xi,
     conj,
     conjugator_to_torus,
@@ -30,7 +29,6 @@ from reconphase.liegroup import (
     is_regular,
     projective_distance,
     torus_coords,
-    torus_element,
     weyl_representative,
 )
 
@@ -270,7 +268,7 @@ def test_is_regular_matches_trace_formula():
 
 def test_torus_coords_frozen_example():
     g = GroupElement(math.pi, Rotation.from_axis_angle(E3, -math.pi / 2))
-    np.testing.assert_allclose(torus_coords(g).beta, [0.5, 0.75], atol=1e-15)
+    np.testing.assert_allclose(torus_coords(g), [0.5, 0.75], atol=1e-15)
 
 
 def test_xi_frozen_example():
@@ -292,7 +290,7 @@ def test_torus_coords_inverts_xi():
     rng = np.random.default_rng(9)
     for _ in range(200):
         b = rng.uniform(0, 1, size=2)
-        d = torus_coords(Xi(b)).beta - b
+        d = torus_coords(Xi(b)) - b
         d = np.abs((d + 0.5) % 1.0 - 0.5)
         assert d.max() < 1e-12
 
@@ -305,7 +303,7 @@ def test_torus_coords_rejects_off_axis_rotation():
 
 def test_torus_coords_so3_rank_one():
     g = GroupElement(0.0, Rotation.from_axis_angle(E3, 1.0), SO3)
-    b = torus_coords(g).beta
+    b = torus_coords(g)
     assert b.shape == (1,)
     assert b[0] == pytest.approx(1.0 / (2 * math.pi), abs=1e-15)
 
@@ -331,7 +329,7 @@ def test_conjugator_lands_in_torus_and_keeps_angle():
         h = conjugator_to_torus(g)
         assert h.theta == 0.0
         t = conj(h, g)
-        beta = torus_coords(t, tol=1e-8).beta  # raises if off the torus
+        beta = torus_coords(t, tol=1e-8)  # raises if off the torus
         assert abs(t.rot.angle() - ang) < 1e-12
         assert beta[0] == pytest.approx(g.theta / (2 * math.pi), abs=1e-12)
 
@@ -344,7 +342,7 @@ def test_conjugator_degenerate_axis_cases():
     assert h.rot.angle() == pytest.approx(math.pi, abs=1e-12)
     # conjugation keeps the (positive) rotation angle and carries the
     # axis -e3 onto +e3
-    assert torus_coords(conj(h, down)).beta[1] == pytest.approx(
+    assert torus_coords(conj(h, down))[1] == pytest.approx(
         1.0 / (2 * math.pi), abs=1e-12
     )
 

@@ -11,7 +11,6 @@ from reconphase.dynsys import (
     ball_point,
     make_ball_system,
     make_rigid_body,
-    reduce,
     rigid_point,
     state_distance,
 )
@@ -88,7 +87,7 @@ def test_phase_frozen_values_ball(ball):
     assert p.gamma.theta == pytest.approx(3.5159040719211143, abs=1e-9)
     assert p.gamma.rot.angle() == pytest.approx(1.8115234790446764, abs=1e-9)
     np.testing.assert_allclose(
-        p.eta.beta, [0.5595735124831681, 0.28831291621698774], atol=1e-9
+        p.eta, [0.5595735124831681, 0.28831291621698774], atol=1e-9
     )
     np.testing.assert_allclose(
         p.delta_rep,
@@ -101,7 +100,7 @@ def test_phase_frozen_values_rigid(rigid):
     _, _, p = rigid
     assert p.regular
     assert p.tau == pytest.approx(10.071482639647366, abs=1e-8)
-    np.testing.assert_allclose(p.eta.beta, [0.1520697532551335], atol=1e-9)
+    np.testing.assert_allclose(p.eta, [0.1520697532551335], atol=1e-9)
 
 
 def test_eta_is_conjugated_lattice_coordinates(ball):
@@ -109,11 +108,11 @@ def test_eta_is_conjugated_lattice_coordinates(ball):
     # circle slot = theta / 2 pi, rotation slot = angle / 2 pi (the
     # conjugation preserves both), with the rotation slot in [0, 1/2].
     _, _, p = ball
-    assert p.eta.beta[0] == pytest.approx(p.gamma.theta / TWO_PI, abs=1e-12)
-    assert p.eta.beta[1] == pytest.approx(p.gamma.rot.angle() / TWO_PI, abs=1e-12)
-    assert 0.0 <= p.eta.beta[1] <= 0.5
+    assert p.eta[0] == pytest.approx(p.gamma.theta / TWO_PI, abs=1e-12)
+    assert p.eta[1] == pytest.approx(p.gamma.rot.angle() / TWO_PI, abs=1e-12)
+    assert 0.0 <= p.eta[1] <= 0.5
     np.testing.assert_allclose(
-        torus_coords(conj(p.conjugator, p.gamma)).beta, p.eta.beta, atol=1e-14
+        torus_coords(conj(p.conjugator, p.gamma)), p.eta, atol=1e-14
     )
     # conj(g_m, gamma) must be in the reference torus at tight tolerance
     torus_coords(conj(p.conjugator, p.gamma), tol=1e-10)
@@ -123,14 +122,14 @@ def test_frequency_vector_structure(ball):
     _, _, p = ball
     f = p.frequencies
     assert f[0] == 1.0 / p.tau  # exact by construction
-    np.testing.assert_allclose(f[1:], p.eta.beta / p.tau, atol=0)
+    np.testing.assert_allclose(f[1:], p.eta / p.tau, atol=0)
 
 
 def test_frequency_arithmetic_on_synthetic_phase():
     # hand-built regular phase: quarter-turn about e3 with circle part pi
     gamma = GroupElement(math.pi, Rotation.from_axis_angle([0, 0, 1], math.pi / 2))
     eta = torus_coords(conj(GroupElement.identity(), gamma))
-    np.testing.assert_allclose(eta.beta, [0.5, 0.25], atol=1e-15)
+    np.testing.assert_allclose(eta, [0.5, 0.25], atol=1e-15)
 
 
 def test_frequency_mismatch_wraps_branch_lattice():
@@ -239,14 +238,14 @@ def test_torus_embed_flow_linearity_ball(ball):
     alpha, beta = 0.3, np.array([0.15, 0.45])
     t = 0.37 * p.tau
     lhs = flow(spec, torus_embed(spec, p, alpha, beta), t)
-    rhs = torus_embed(spec, p, alpha + 0.37, beta + 0.37 * p.eta.beta)
+    rhs = torus_embed(spec, p, alpha + 0.37, beta + 0.37 * p.eta)
     assert state_distance(lhs, rhs) < 1e-9
 
 
 def test_torus_embed_flow_linearity_rigid(rigid):
     spec, m, p = rigid
     lhs = flow(spec, torus_embed(spec, p, 0.4, np.array([0.3])), 0.25 * p.tau)
-    rhs = torus_embed(spec, p, 0.65, np.array([0.3]) + 0.25 * p.eta.beta)
+    rhs = torus_embed(spec, p, 0.65, np.array([0.3]) + 0.25 * p.eta)
     assert state_distance(lhs, rhs) < 1e-9
 
 
@@ -255,7 +254,7 @@ def test_torus_embed_is_one_periodic_in_alpha(request, system):
     # a full turn in alpha flows one period and undoes it with the phase
     # conjugated into the torus, so the chart closes up on itself
     spec, m, p = request.getfixturevalue(system)
-    beta = np.full(p.eta.beta.size, 0.3)
+    beta = np.full(p.eta.size, 0.3)
     for alpha in (0.0, 0.4):
         x = torus_embed(spec, p, alpha, beta)
         x1 = torus_embed(spec, p, alpha + 1.0, beta)
@@ -294,7 +293,7 @@ def test_flower_frame_extends_torus_embed(ball):
 
 
 def test_flower_points_share_reduced_orbit(ball):
-    # reduce(J_m(alpha, g)) must land on the reduced orbit of m for any g
+    # the reduced state of J_m(alpha, g) must land on the reduced orbit of m for any g
     spec, m, p = ball
     g = GroupElement(
         2.2, Rotation.from_axis_angle([0.6, 0.1, 0.79], 1.4), spec.group
@@ -320,7 +319,7 @@ def test_flower_frame_matches_its_definition(request, system):
     )
     for alpha in (-0.6, 0.0, 0.3, 0.999, 1.4, 2.9):
         h_alpha = (
-            p.conjugator.inverse() @ Xi(alpha * p.eta.beta, spec.group)
+            p.conjugator.inverse() @ Xi(alpha * p.eta, spec.group)
         ) @ p.conjugator
         want = act(
             g @ h_alpha.inverse(),
@@ -382,12 +381,12 @@ def test_weyl_partner_same_level_different_petal(ball):
     m_w, n = weyl_partner(spec, m, p)
     # the swap is a half turn about a horizontal axis orthogonal to the
     # phase axis, so it fixes the reduced point exactly
-    assert np.allclose(reduce(m_w).to_vector(), reduce(m).to_vector(), atol=0)
+    assert np.allclose(spec.reduce_y(spec.pack(m_w)), spec.reduce_y(spec.pack(m)), atol=0)
     assert n.rot.angle() == pytest.approx(math.pi, abs=1e-12)
     assert abs(n.rot.axis() @ p.gamma.rot.axis()) < 1e-12
     p_w = phase(spec, m_w)
     assert projective_distance(p_w.delta_rep, p.delta_rep) < 1e-9
-    np.testing.assert_allclose(p_w.eta.beta, p.eta.beta, atol=1e-9)
+    np.testing.assert_allclose(p_w.eta, p.eta, atol=1e-9)
     assert not same_petal(spec, m, m_w, p1=p, p2=p_w)
     assert not same_petal(spec, m_w, m, p1=p_w, p2=p)
 

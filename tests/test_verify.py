@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -99,6 +100,24 @@ def test_rigid_family_margin_reference_values(rigid_spec):
     assert rigid_family_margin(rigid_spec, (1.0, 0, 0)) == pytest.approx(1.0)
     assert rigid_family_margin(rigid_spec, (0, 0, 0.7)) == pytest.approx(-1 / 3)
     assert rigid_family_margin(rigid_spec, (0, 1.3, 0)) == pytest.approx(0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("perm", list(itertools.permutations(range(3))))
+def test_rigid_classifier_ignores_inertia_order(rigid_spec, perm):
+    # listing the principal moments in another order relabels the axes of
+    # the same body: the family margin and the sampler's strata must follow
+    perm = list(perm)
+    body = make_rigid_body(rigid_spec.inertia[perm])
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        omega = rng.normal(size=3)
+        assert rigid_family_margin(body, omega[perm]) == pytest.approx(
+            rigid_family_margin(rigid_spec, omega), abs=1e-14
+        )
+    margins = [rigid_family_margin(body, m.omega_body)
+               for m in sample_rigid(body, np.random.default_rng(7), 2)]
+    assert all(abs(k) >= 0.12 for k in margins)
+    assert [k > 0 for k in margins] == [True, False]
 
 
 def test_rigid_sampler_exhaustion_is_typed(rigid_spec, monkeypatch):
