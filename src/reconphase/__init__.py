@@ -12,8 +12,9 @@ The package is layered bottom-up:
     revolution and a free rigid body — with their symmetry actions,
     reductions and pointwise invariants.
 ``integrate``
-    Dense-output integration with quaternion renormalization, and the
-    reduced-period section search.
+    DOP853 integration with quaternion renormalization (dense output
+    where a trajectory is kept), lockstep batches of fixed-horizon flows
+    over packed columns, and the reduced-period section search.
 ``reconstruct``
     The per-orbit reconstruction phase gamma with act(gamma, m) =
     flow(m, tau), torus coordinates eta, invariant-torus embeddings,
@@ -74,6 +75,7 @@ from .integrate import (
     export_csv,
     find_reduced_period,
     flow,
+    flow_many,
     flow_trajectory,
 )
 from .reconstruct import (

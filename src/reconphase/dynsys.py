@@ -254,23 +254,34 @@ class SystemSpec:
         return slice(4, 8) if self.kind == BALL else slice(0, 4)
 
     # -- pointwise evaluators (packed form) -----------------------------
+    def _domain_tests(self, y):
+        """Ball only: (s, center inside the annulus, (a, a_dot) away from 0)
+        for a state, or rows of them for states given as columns."""
+        s = y[0] * y[0] + y[1] * y[1]
+        rmin, rmax = self.annulus
+        return (
+            s,
+            (rmin * rmin <= s) & (s <= rmax * rmax),
+            s + y[2] * y[2] + y[3] * y[3] >= 1e-16,
+        )
+
     def domain_check(self, y: np.ndarray, t: float = 0.0):
         if self.kind == BALL:
-            s = y[0] * y[0] + y[1] * y[1]
-            rmin, rmax = self.annulus
-            if not (rmin * rmin <= s <= rmax * rmax):
+            s, in_annulus, moving = self._domain_tests(y)
+            if not in_annulus:
+                rmin, rmax = self.annulus
                 raise DomainError(
                     f"center radius {math.sqrt(max(s, 0.0)):.6g} left the annulus "
                     f"[{rmin}, {rmax}]",
                     last_state=np.array(y),
                     t=t,
                 )
-            if s + y[2] * y[2] + y[3] * y[3] < 1e-16:
+            if not moving:
                 raise DomainError(
                     "(a, a_dot) collapsed to 0", last_state=np.array(y), t=t
                 )
 
-    def _ball_geometry(self, a1, a2, ad1, ad2):
+    def _ball_geometry(self, a1, a2, ad1, ad2, sqrt=math.sqrt):
         pr = self.profile
         s = a1 * a1 + a2 * a2
         fp = pr.fp(s)
@@ -278,7 +289,7 @@ class SystemSpec:
         g1 = 2.0 * fp * a1
         g2 = 2.0 * fp * a2
         N2 = 1.0 + g1 * g1 + g2 * g2
-        N = math.sqrt(N2)
+        N = sqrt(N2)
         n = (-g1 / N, -g2 / N, 1.0 / N)
         ca = a1 * ad1 + a2 * ad2
         dg1 = 2.0 * fp * ad1 + 4.0 * fpp * ca * a1
@@ -292,13 +303,15 @@ class SystemSpec:
         vc = (ad1, ad2, g1 * ad1 + g2 * ad2)
         return s, g1, g2, n, nd, vc
 
-    def _ball_rates(self, y):
+    def _ball_rates(self, y, sqrt=math.sqrt):
         """Core ball dynamics: returns (addot1, addot2, wdot, mu) where mu
-        is the body-frame rate of the stored attitude Q."""
+        is the body-frame rate of the stored attitude Q.  ``sqrt`` is
+        ``np.sqrt`` when y holds states as columns; every other operation
+        is elementwise, so each column gets the scalar call's bits."""
         pr = self.profile
         a1, a2, ad1, ad2 = y[0], y[1], y[2], y[3]
         w = y[8]
-        s, g1, g2, n, nd, vc = self._ball_geometry(a1, a2, ad1, ad2)
+        s, g1, g2, n, nd, vc = self._ball_geometry(a1, a2, ad1, ad2, sqrt)
         k = pr.inertia_ratio
         grav = pr.gravity
         vdn = vc[0] * nd[0] + vc[1] * nd[1] + vc[2] * nd[2]
@@ -321,7 +334,7 @@ class SystemSpec:
         )
         # attitude rate in the corotating chart
         om = _rolling_omega(n, vc, w)
-        r = math.sqrt(s)
+        r = sqrt(s)
         e1 = (a1 / r, a2 / r)
         chidot = (a1 * ad2 - a2 * ad1) / s
         mu = (
@@ -331,26 +344,24 @@ class SystemSpec:
         )
         return vd1, vd2, wdot, mu
 
-    def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
-        """Packed-state time derivative (quaternion slot included)."""
+    def _derivative(self, y, sqrt):
+        """Rows of the packed-state time derivative (quaternion slot
+        included), for a state or for states given as columns."""
         if self.kind == BALL:
-            self.domain_check(y, t)
-            vd1, vd2, wdot, mu = self._ball_rates(y)
+            vd1, vd2, wdot, mu = self._ball_rates(y, sqrt)
             qw, qx, qy, qz = y[4], y[5], y[6], y[7]
             m1, m2, m3 = mu
-            return np.array(
-                [
-                    y[2],
-                    y[3],
-                    vd1,
-                    vd2,
-                    0.5 * (-qx * m1 - qy * m2 - qz * m3),
-                    0.5 * (qw * m1 + qy * m3 - qz * m2),
-                    0.5 * (qw * m2 + qz * m1 - qx * m3),
-                    0.5 * (qw * m3 + qx * m2 - qy * m1),
-                    wdot,
-                ]
-            )
+            return [
+                y[2],
+                y[3],
+                vd1,
+                vd2,
+                0.5 * (-qx * m1 - qy * m2 - qz * m3),
+                0.5 * (qw * m1 + qy * m3 - qz * m2),
+                0.5 * (qw * m2 + qz * m1 - qx * m3),
+                0.5 * (qw * m3 + qx * m2 - qy * m1),
+                wdot,
+            ]
         # rigid body
         qw, qx, qy, qz = y[0], y[1], y[2], y[3]
         o1, o2, o3 = y[4], y[5], y[6]
@@ -358,17 +369,34 @@ class SystemSpec:
         od1 = (I2 - I3) * o2 * o3 / I1
         od2 = (I3 - I1) * o3 * o1 / I2
         od3 = (I1 - I2) * o1 * o2 / I3
-        return np.array(
-            [
-                0.5 * (-qx * o1 - qy * o2 - qz * o3),
-                0.5 * (qw * o1 + qy * o3 - qz * o2),
-                0.5 * (qw * o2 + qz * o1 - qx * o3),
-                0.5 * (qw * o3 + qx * o2 - qy * o1),
-                od1,
-                od2,
-                od3,
-            ]
-        )
+        return [
+            0.5 * (-qx * o1 - qy * o2 - qz * o3),
+            0.5 * (qw * o1 + qy * o3 - qz * o2),
+            0.5 * (qw * o2 + qz * o1 - qx * o3),
+            0.5 * (qw * o3 + qx * o2 - qy * o1),
+            od1,
+            od2,
+            od3,
+        ]
+
+    def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
+        """Packed-state time derivative (quaternion slot included)."""
+        if self.kind == BALL:
+            self.domain_check(y, t)
+        return np.array(self._derivative(y, math.sqrt))
+
+    def rhs_columns(self, ys: np.ndarray):
+        """``rhs`` on the states given as the columns of ``ys`` (nstate, n):
+        returns the (nstate, n) derivatives and a boolean (n,) mask of the
+        columns outside the domain, whose derivatives are meaningless.
+        Each column equals the scalar call's result bit for bit."""
+        if self.kind == BALL:
+            _, in_annulus, moving = self._domain_tests(ys)
+            outside = ~(in_annulus & moving)
+        else:
+            outside = np.zeros(ys.shape[1], dtype=bool)
+        with np.errstate(all="ignore"):
+            return np.array(self._derivative(ys, np.sqrt)), outside
 
     def reduce_y(self, y: np.ndarray) -> np.ndarray:
         """Reduced state as a 4-vector (b, w); packed states given as the

@@ -1,12 +1,28 @@
-"""Adaptive integration (DOP853 with dense output) plus detection of the
-reduced trajectory's return time (the reduced period).
+"""Adaptive integration (DOP853) plus detection of the reduced
+trajectory's return time (the reduced period).
 
-The attitude quaternion is renormalized after every accepted step.  To
-keep dense output consistent with the stored nodes, each step's
-interpolant is blended toward the renormalized endpoint with a linear
-ramp: the correction is O(norm drift) per step, orders of magnitude
-below the interpolation error, and makes dense evaluation reproduce the
-stored node states exactly.
+The attitude quaternion is renormalized after every accepted step.
+Callers that keep a trajectory (``flow_trajectory`` and the period
+search) also get each step's dense interpolant, blended toward the
+renormalized endpoint with a linear ramp: the correction is O(norm
+drift) per step, orders of magnitude below the interpolation error, and
+makes dense evaluation reproduce the stored node states exactly.
+``flow()`` reads only the end state, so it builds no interpolant; its
+steps, and so its result, are the same either way.
+
+``flow_many`` runs many fixed-horizon flows as one lockstep batch over
+packed columns (torchode, Lienen & Günnemann, arXiv:2210.12375): every
+column follows scipy's DOP853 rule (Hairer, Nørsett & Wanner, *Solving
+ODEs I*, §II.6) with its own step size, error norm and accept/reject
+decision, and a column that reaches its horizon or fails is compacted
+away.  The vector field is evaluated once per stage for all live
+columns (``SystemSpec.rhs_columns``).  Stage sums and norms run in one
+fixed order, never through a BLAS product across columns, so a column's
+result is bitwise the same whatever else shares its batch.  It agrees
+with ``flow()``, whose stage sums go through BLAS, to rounding.  Each
+numpy operation costs about as much as a scalar vector-field call, so
+the batch pays off only with several columns; a single flow stays on
+the scalar marcher.
 
 Period detection marches the flow while watching the section function
 sigma(t) = <reduced(t) - reduced(0), v0_hat> (v0 = initial reduced
@@ -30,6 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import DOP853
+from scipy.integrate._ivp import dop853_coefficients as _dop
+from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY
 from scipy.optimize import brentq
 
 from .dynsys import IntegrationDefaults, PhasePoint, SystemSpec
@@ -121,9 +139,11 @@ class Trajectory:
 
 
 class _Marcher:
-    """Forward march of the packed ODE with per-step quaternion fixing."""
+    """Forward march of the packed ODE with per-step quaternion fixing;
+    with ``dense`` each step's interpolant is kept as a segment."""
 
-    def __init__(self, spec: SystemSpec, y0, t_bound, rtol, atol, rhs=None):
+    def __init__(self, spec: SystemSpec, y0, t_bound, rtol, atol, rhs=None,
+                 dense=False):
         y0 = np.asarray(y0, dtype=float)
         try:
             spec.domain_check(y0)
@@ -134,10 +154,11 @@ class _Marcher:
                 t=0.0,
             ) from e
         self.spec = spec
+        self.dense = dense
         self.traj = Trajectory(spec, [0.0], [np.array(y0)], [])
         self.qs = spec.quat_slice
-        self._finished = t_bound == 0.0
-        if not self._finished:
+        self.finished = t_bound == 0.0
+        if not self.finished:
             try:
                 self.solver = _CountingDOP853(
                     rhs or spec.rhs, 0.0, y0, t_bound=t_bound, rtol=rtol, atol=atol
@@ -148,10 +169,8 @@ class _Marcher:
                 ) from e
 
     def step(self):
-        """Advance one accepted step; returns the new segment, or None
-        when the time bound has been reached."""
-        if self._finished:
-            return None
+        """Advance one accepted step; returns its segment when dense
+        output is kept, else None."""
         traj = self.traj
         try:
             msg = self.solver.step()
@@ -167,27 +186,27 @@ class _Marcher:
                 last_state=self.spec.unpack(traj.states[-1]),
                 t=traj.times[-1],
             )
-        dense = self.solver.dense_output()
         y_new = np.array(self.solver.y)
         y_fix = np.array(y_new)
         q = y_fix[self.qs]
         y_fix[self.qs] = q / math.sqrt(float(q @ q))
-        seg = _Segment(dense, y_fix - y_new)
+        seg = None
+        if self.dense:
+            seg = _Segment(self.solver.dense_output(), y_fix - y_new)
+            traj.segments.append(seg)
         # continue the march from the renormalized state
         self.solver.y[...] = y_fix
         self.solver.f = self.solver.fun(self.solver.t, self.solver.y)
         traj.times.append(self.solver.t)
         traj.states.append(y_fix)
-        traj.segments.append(seg)
         traj.n_accepted += 1
         traj.n_rejected = self.solver.n_rejected
         traj.n_rhs_evals = self.solver.nfev
-        if self.solver.status == "finished":
-            self._finished = True
+        self.finished = self.solver.status == "finished"
         return seg
 
     def run(self) -> Trajectory:
-        while not self._finished:
+        while not self.finished:
             self.step()
         return self.traj
 
@@ -199,7 +218,7 @@ def flow_trajectory(
     if not (t >= 0.0 and math.isfinite(t)):
         raise ValueError("flow_trajectory needs finite t >= 0")
     s = spec.defaults.override(rtol=rtol, atol=atol)
-    return _Marcher(spec, spec.pack(m), t, s.rtol, s.atol).run()
+    return _Marcher(spec, spec.pack(m), t, s.rtol, s.atol, dense=True).run()
 
 
 def flow(spec: SystemSpec, m: PhasePoint, t: float, rtol=None, atol=None) -> PhasePoint:
@@ -215,6 +234,200 @@ def flow(spec: SystemSpec, m: PhasePoint, t: float, rtol=None, atol=None) -> Pha
     rhs = None if t > 0.0 else lambda tt, y: -spec.rhs(tt, y)
     traj = _Marcher(spec, spec.pack(m), abs(t), s.rtol, s.atol, rhs=rhs).run()
     return spec.unpack(traj.states[-1])
+
+
+# ---------------------------------------------------------------------------
+# lockstep batch
+# ---------------------------------------------------------------------------
+
+
+def _terms(coefficients):
+    """The nonzero entries of a tableau row as (stage, coefficient)."""
+    return tuple((i, float(c)) for i, c in enumerate(coefficients) if c != 0.0)
+
+
+# each stage's tableau row, the last one (B) giving the step's end state
+_STAGE_TERMS = tuple(
+    _terms(_dop.A[s, :s]) for s in range(1, _dop.N_STAGES)
+) + (_terms(_dop.B),)
+_E5_TERMS = _terms(_dop.E5)
+_E3_TERMS = _terms(_dop.E3)
+_ERROR_EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
+
+
+def _combine(K, terms):
+    """sum_i c_i K[i] over ``terms`` in their fixed order."""
+    (i, c), *rest = terms
+    acc = K[i] * c
+    for i, c in rest:
+        acc += K[i] * c
+    return acc
+
+
+def _sumsq(x):
+    """Per-column sum of squares over the rows, in row order."""
+    acc = x[0] * x[0]
+    for row in x[1:]:
+        acc += row * row
+    return acc
+
+
+def _rms(x):
+    """Per-column RMS over the rows (scipy's ``norm``)."""
+    return np.sqrt(_sumsq(x)) / len(x) ** 0.5
+
+
+def _per_column(fn, *arrays):
+    """``fn`` on each column's Python floats: a power's bits then never
+    depend on how numpy vectorises the array around it."""
+    return np.array([fn(*v) for v in zip(*(a.tolist() for a in arrays))])
+
+
+def _initial_step(d0, d1, d2, h0):
+    """scipy's ``select_initial_step`` from its norms, for one column."""
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        return max(1e-6, h0 * 1e-3)
+    return (0.01 / max(d1, d2)) ** -_ERROR_EXPONENT
+
+
+def _step_factor(norm, retried):
+    """scipy's step-size factor after an attempt with error ``norm``; the
+    retry of a rejected step may not grow it."""
+    if norm < 1.0:
+        if norm == 0.0:
+            return MAX_FACTOR
+        factor = min(MAX_FACTOR, SAFETY * norm ** _ERROR_EXPONENT)
+        return min(1.0, factor) if retried else factor
+    return max(MIN_FACTOR, SAFETY * norm ** _ERROR_EXPONENT)
+
+
+def _lockstep(spec: SystemSpec, ys, ts, rtol, atol):
+    """Integrate column j of ``ys`` (nstate, n) forward to ``ts[j] >= 0``
+    in one lockstep batch.  Returns the (nstate, n) end states and, by
+    column, the failures as ``(what, last state, t, state outside the
+    domain or None)``; a failed column keeps its start state."""
+    out = np.array(ys, dtype=float)
+    failed = {}
+    idx = np.flatnonzero(ts > 0.0)
+    y = out[:, idx]
+    t = np.zeros(idx.size)
+    t_bound = ts[idx]
+    f, outside = spec.rhs_columns(y)
+    h_abs = retried = None
+
+    def fail(mask, what, y_bad=None):
+        for k in np.flatnonzero(mask):
+            bad = None if y_bad is None else y_bad[:, k].copy()
+            failed[int(idx[k])] = (what, y[:, k].copy(), float(t[k]), bad)
+
+    def keep(mask):
+        nonlocal idx, y, f, t, t_bound, h_abs, retried
+        idx, y, f, t, t_bound = idx[mask], y[:, mask], f[:, mask], t[mask], t_bound[mask]
+        if h_abs is not None:
+            h_abs, retried = h_abs[mask], retried[mask]
+
+    fail(outside, "initial state outside the domain", y)
+    keep(~outside)
+
+    # scipy's select_initial_step, column by column
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+    h0 = np.minimum(h0, t_bound)
+    y1 = y + h0 * f
+    f1, outside = spec.rhs_columns(y1)
+    fail(outside, "domain exit at start", y1)
+    ok = ~outside
+    d2 = _rms((f1[:, ok] - f[:, ok]) / scale[:, ok]) / h0[ok]
+    h1 = _per_column(_initial_step, d0[ok], d1[ok], d2, h0[ok])
+    keep(ok)
+    h_abs = np.minimum(np.minimum(100 * h0[ok], h1), t_bound)
+    retried = np.zeros(idx.size, dtype=bool)
+
+    while idx.size:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs = np.where(~retried & (h_abs < min_step), min_step, h_abs)
+        tiny = h_abs < min_step
+        if tiny.any():
+            fail(tiny, f"step-size underflow: {DOP853.TOO_SMALL_STEP}")
+            keep(~tiny)
+            continue
+        t_new = np.minimum(t + h_abs, t_bound)
+        h = t_new - t
+        K = [f]
+        outside = np.zeros(idx.size, dtype=bool)
+        y_bad = np.empty_like(y)
+        for terms in _STAGE_TERMS:
+            stage = y + _combine(K, terms) * h
+            k, out_k = spec.rhs_columns(stage)
+            first = out_k & ~outside
+            y_bad[:, first] = stage[:, first]
+            outside |= out_k
+            K.append(k)
+        y_new = stage
+        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+        e5 = _sumsq(_combine(K, _E5_TERMS) / scale)
+        e3 = _sumsq(_combine(K, _E3_TERMS) / scale)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            norm = np.where((e5 == 0.0) & (e3 == 0.0), 0.0,
+                            h * e5 / np.sqrt((e5 + 0.01 * e3) * spec.nstate))
+        h_abs = h * _per_column(_step_factor, norm, retried)
+        retried = ~(norm < 1.0)
+        accepted = ~retried & ~outside
+        fail(outside, "trajectory left the domain", y_bad)
+        if accepted.any():
+            # the marcher's quaternion renormalization and f recompute
+            y_acc = y_new[:, accepted]
+            q = y_acc[spec.quat_slice]
+            y_acc[spec.quat_slice] = q / np.sqrt(_sumsq(q))
+            y[:, accepted] = y_acc
+            f[:, accepted] = spec.rhs_columns(y_acc)[0]
+            t[accepted] = t_new[accepted]
+        done = accepted & (t >= t_bound)
+        out[:, idx[done]] = y[:, done]
+        if (done | outside).any():
+            keep(~(done | outside))
+    return out, failed
+
+
+def flow_many(spec: SystemSpec, ys, ts, rtol=None, atol=None) -> np.ndarray:
+    """End states of forward flows from the packed states given as the
+    columns of ``ys`` (nstate, n), column j to its own time ``ts[j] >= 0``,
+    as an (nstate, n) array.
+
+    Each column is its own integration with ``flow()``'s rule and
+    settings, stepped in lockstep with the others (see the module
+    docstring); it agrees with ``flow()`` to rounding and is bitwise
+    independent of the other columns.  A zero horizon returns the start
+    state.  If columns fail, the IntegrationError of the lowest-index one
+    is raised after the batch, with that column's last state and time.
+    """
+    ys = np.asarray(ys, dtype=float)
+    ts = np.asarray(ts, dtype=float)
+    if ys.ndim != 2 or ys.shape[0] != spec.nstate or ts.shape != (ys.shape[1],):
+        raise ValueError(
+            f"flow_many needs states of shape ({spec.nstate}, n) and n times"
+        )
+    if not np.all(np.isfinite(ts) & (ts >= 0.0)):
+        raise ValueError("flow_many needs finite times ts >= 0")
+    if not np.all(np.isfinite(ys)):
+        raise ValueError("flow_many needs finite states")
+    s = spec.defaults.override(rtol=rtol, atol=atol)
+    out, failed = _lockstep(spec, ys, ts, s.rtol, s.atol)
+    if failed:
+        what, y_last, t, y_bad = failed[min(failed)]
+        cause = None
+        if y_bad is not None:
+            try:
+                spec.domain_check(y_bad)
+            except DomainError as e:
+                cause = e
+                what = f"{what}: {e}"
+        raise IntegrationError(
+            what, last_state=spec.unpack(y_last), t=t
+        ) from cause
+    return out
 
 
 @dataclass(frozen=True)
@@ -242,7 +455,7 @@ def _period_search(spec: SystemSpec, m: PhasePoint, s: IntegrationDefaults):
         )
     v0n = v0 / speed
 
-    marcher = _Marcher(spec, y0, s.t_max, s.rtol, s.atol)
+    marcher = _Marcher(spec, y0, s.t_max, s.rtol, s.atol, dense=True)
     traj = marcher.traj
 
     def sigma_of(seg):
@@ -257,10 +470,8 @@ def _period_search(spec: SystemSpec, m: PhasePoint, s: IntegrationDefaults):
     best_residual = math.inf
     found_crossing = False
     n_sub = 16
-    while True:
+    while not marcher.finished:
         seg = marcher.step()
-        if seg is None:
-            break
         sig = sigma_of(seg)
         ts = np.linspace(seg.t_old, seg.t_new, n_sub + 1)
         vals = sig(ts)

@@ -20,6 +20,7 @@ cross-validates two code paths.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -48,7 +49,7 @@ from .errors import (
     PhaseInconsistencyError,
     SamplerExhaustedError,
 )
-from .integrate import find_reduced_period, flow
+from .integrate import find_reduced_period, flow, flow_many
 from .liegroup import (
     GroupElement,
     Rotation,
@@ -202,13 +203,17 @@ def rigid_family_margin(spec: SystemSpec, omega) -> float:
 
 
 def sample_rigid(spec: SystemSpec, rng, n: int, margin: float = 0.12):
-    """Rigid-body initial conditions stratified across both stable-axis
+    """Rigid-body initial conditions stratified across the stable-axis
     families (smallest- and largest-moment axis), keeping a margin from
     the separatrix (|classifier| >= ``margin``) and from the axis of the
-    middle moment itself."""
+    middle moment itself.  A symmetric top has one family only (the
+    classifier keeps one sign), and every draw comes from it."""
     mid_axis = np.eye(3)[np.argsort(spec.inertia, kind="stable")[1]]
+    lo, mid, hi = np.sort(spec.inertia)
+    # a sphere has no family at all: then no draw passes the margin
+    signs = [positive for positive, exists in ((True, lo < mid), (False, mid < hi))
+             if exists] or [True]
     out = []
-    want_positive = True
     budget = draws = 200 * n
     while len(out) < n:
         if draws == 0:
@@ -225,12 +230,11 @@ def sample_rigid(spec: SystemSpec, rng, n: int, margin: float = 0.12):
         kappa = rigid_family_margin(spec, omega)
         if abs(kappa) < margin:
             continue
-        if (kappa > 0) != want_positive:
+        if (kappa > 0) != signs[len(out) % len(signs)]:
             continue
         m = rigid_point(spec, _random_rotation(rng), omega)
         if not _keep_sample(spec, m):
             continue
-        want_positive = not want_positive
         out.append(m)
     return out
 
@@ -320,7 +324,8 @@ def check_linearization(spec, samples, tol, seed=None, rtol=None, atol=None,
     loosening) exist so a deliberately corrupted flow can be fed through
     the same code path as a negative control.  They set the integration
     of the base phase, whose period trajectory every chart point is read
-    from, and of the fresh flow on the left-hand side of the square.
+    from, and of the fresh flows on the left-hand side of the square (one
+    ``flow_many`` batch per sample, each column its own integration).
     """
     alphas = (0.0, 1.0 / 3.0, 2.0 / 3.0)
     t_fracs = (0.15, 0.45, 0.75)
@@ -330,14 +335,20 @@ def check_linearization(spec, samples, tol, seed=None, rtol=None, atol=None,
         betas = [np.zeros(rank), np.full(rank, 0.3), np.full(rank, 0.7)]
         if rank == 2:
             betas[2] = np.array([0.7, 0.2])
+        chart = [(al, be, torus_embed(spec, p, al, be)) for al in alphas for be in betas]
+        # one fresh integration per (chart point, horizon), run as one batch
+        grid = list(itertools.product(chart, t_fracs))
+        ends = flow_many(
+            spec,
+            np.column_stack([spec.pack(x) for (_, _, x), _ in grid]),
+            np.array([tf * p.tau for _, tf in grid]),
+            rtol=rtol,
+            atol=atol,
+        )
         worst = 0.0
-        for al in alphas:
-            for be in betas:
-                x = torus_embed(spec, p, al, be)
-                for tf in t_fracs:
-                    lhs = flow(spec, x, tf * p.tau, rtol=rtol, atol=atol)
-                    rhs = torus_embed(spec, p, al + tf, be + tf * p.eta)
-                    worst = max(worst, state_distance(lhs, rhs))
+        for ((al, be, _), tf), y_end in zip(grid, ends.T):
+            rhs = torus_embed(spec, p, al + tf, be + tf * p.eta)
+            worst = max(worst, state_distance(spec.unpack(y_end), rhs))
         return worst
 
     desc = f"{len(samples)} initial conditions x 3x3x3 (alpha, beta, t) grid"

@@ -285,6 +285,18 @@ def test_verify_unsorted_inertia_passes(tmp_path):
     assert doc["reports"][0]["verdict"] == "pass"
 
 
+@pytest.mark.parametrize("inertia", [[1.0, 1.0, 2.0], [1.0, 2.0, 2.0]])
+def test_verify_symmetric_top_passes(tmp_path, inertia):
+    # a symmetric top has one stable-axis family; the sampler draws from it
+    doc = json.loads(json.dumps(RIGID_CONFIG))
+    doc["system"]["inertia"] = inertia
+    config = write_config(tmp_path, doc)
+    assert run_cli("verify", "--config", config, "--checks", "vf_invariance",
+                   "--out", str(tmp_path)) == 0
+    report = json.loads((tmp_path / "verify.json").read_text())["reports"][0]
+    assert report["verdict"] == "pass" and report["n_samples"] == 2
+
+
 def test_verify_empty_check_list_is_ok(tmp_path):
     config = write_config(tmp_path, RIGID_CONFIG)
     assert run_cli("verify", "--config", config, "--checks", "",

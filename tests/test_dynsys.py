@@ -206,6 +206,30 @@ def test_ball_domain_errors(ball):
         vector_field(at_axis)
 
 
+def test_rhs_columns_equal_scalar_calls_bitwise(ball, rigid):
+    # the column form runs the same formulas elementwise: each column has
+    # the scalar call's bits, and the mask marks exactly the states whose
+    # scalar call raises DomainError
+    rng = np.random.default_rng(8)
+    ys = np.column_stack(
+        [ball.pack(random_ball_point(ball, rng)) for _ in range(12)]
+        + [[3.0, 0.0, 0.0, 0.1, 1.0, 0.0, 0.0, 0.0, 0.0],
+           [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0]]
+    )
+    fs, outside = ball.rhs_columns(ys)
+    assert outside.tolist() == [False] * 12 + [True, True]
+    for j in range(12):
+        assert np.array_equal(fs[:, j], ball.rhs(0.0, ys[:, j]))
+    for j in (12, 13):
+        with pytest.raises(DomainError):
+            ball.rhs(0.0, ys[:, j])
+    ys = rng.normal(size=(7, 9))
+    fs, outside = rigid.rhs_columns(ys)
+    assert not outside.any()
+    for j in range(9):
+        assert np.array_equal(fs[:, j], rigid.rhs(0.0, ys[:, j]))
+
+
 def test_vector_field_invariance(ball, rigid):
     rng = np.random.default_rng(6)
     worst = 0.0

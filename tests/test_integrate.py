@@ -2,20 +2,24 @@
 
 Oracles: flow semigroup property, closed-form steady rotation of the
 rigid body, the linearized small-oscillation period of Euler's
-equations near a stable axis, and re-integration at a tighter tolerance.
+equations near a stable axis, re-integration at a tighter tolerance,
+and the scalar marcher for the lockstep batch.
 """
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from reconphase.cli import TORUS_PROBE
 from reconphase.dynsys import (
     IntegrationDefaults,
     SurfaceProfile,
+    SystemSpec,
     act,
     ball_point,
     make_ball_system,
@@ -29,14 +33,17 @@ from reconphase.errors import (
     PeriodNotFoundError,
 )
 from reconphase.integrate import (
+    _lockstep,
+    _Marcher,
     _period_search,
     export_csv,
     find_reduced_period,
     flow,
+    flow_many,
     flow_trajectory,
 )
 from reconphase.liegroup import GroupElement, Rotation, exp_so3
-from reconphase.reconstruct import phase
+from reconphase.reconstruct import phase, torus_embed
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +117,158 @@ def test_flow_rejects_bad_start(ball):
     m = ball_point(ball, (5.0, 0.0), (0.0, 0.1), Rotation.identity(), 0.0)
     with pytest.raises(IntegrationError):
         flow(ball, m, 1.0)
+
+
+@pytest.mark.parametrize("kind", ["ball", "rigid"])
+def test_flow_builds_no_dense_output_and_keeps_its_steps(kind, ball, rigid, mball, mrigid):
+    # flow() skips the interpolant (3 RHS evaluations per step) and so
+    # steps exactly like the trajectory-keeping march
+    spec, m = (ball, mball) if kind == "ball" else (rigid, mrigid)
+    kept = flow_trajectory(spec, m, 5.0)
+    bare = _Marcher(spec, spec.pack(m), 5.0, 1e-10, 1e-12).run()
+    assert bare.segments == [] and len(kept.segments) == kept.n_accepted
+    assert bare.times == kept.times
+    assert np.array_equal(bare.states, kept.states)
+    assert bare.n_rhs_evals == kept.n_rhs_evals - 3 * kept.n_accepted
+    end = spec.unpack(kept.states[-1])
+    assert np.array_equal(spec.pack(flow(spec, m, 5.0)), spec.pack(end))
+
+
+# ----------------------------------------------------------------------
+# lockstep batch
+# ----------------------------------------------------------------------
+
+
+def _packed(spec, points):
+    return np.column_stack([spec.pack(x) for x in points])
+
+
+@pytest.fixture(scope="module")
+def batch_inputs(ball, rigid, mball, mrigid):
+    """(spec, starts, horizons) of the torus subcommand's probes (grid 3
+    for the ball, 5 for the rigid body) and of check_linearization's
+    3 x 3 x 3 (alpha, beta, t) grid, by system and name."""
+    out = {}
+    for kind, spec, m, grid in (("ball", ball, mball, 3), ("rigid", rigid, mrigid, 5)):
+        p = phase(spec, m)
+        rank = p.eta.size
+        ticks = [i / grid for i in range(grid)]
+        probes = [torus_embed(spec, p, al, np.array(be))
+                  for al in ticks for be in itertools.product(ticks, repeat=rank)]
+        out[kind, "probe"] = (spec, _packed(spec, probes),
+                              np.full(len(probes), TORUS_PROBE * p.tau))
+        betas = [np.zeros(rank), np.full(rank, 0.3), np.full(rank, 0.7)]
+        chart = [torus_embed(spec, p, al, be) for al in (0.0, 1 / 3, 2 / 3) for be in betas]
+        fracs = np.array([0.15, 0.45, 0.75])
+        out[kind, "grid"] = (spec, np.repeat(_packed(spec, chart), 3, axis=1),
+                             np.tile(fracs * p.tau, len(chart)))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["ball", "rigid"])
+def test_flow_many_columns_are_independent_of_their_batch(kind, batch_inputs):
+    spec, ys, ts = batch_inputs[kind, "grid"]
+    assert ys.shape[1] == 27
+    full = flow_many(spec, ys, ts)
+    for j in range(27):
+        assert np.array_equal(flow_many(spec, ys[:, [j]], ts[[j]])[:, 0], full[:, j])
+    for lo in range(0, 27, 7):
+        cols = slice(lo, lo + 7)
+        assert np.array_equal(flow_many(spec, ys[:, cols], ts[cols]), full[:, cols])
+    perm = np.random.default_rng(5).permutation(27)
+    assert np.array_equal(flow_many(spec, ys[:, perm], ts[perm]), full[:, perm])
+
+
+@pytest.mark.parametrize("kind, inputs", list(itertools.product(["ball", "rigid"],
+                                                                ["probe", "grid"])))
+def test_flow_many_agrees_with_flow(kind, inputs, batch_inputs):
+    spec, ys, ts = batch_inputs[kind, inputs]
+    ends = flow_many(spec, ys, ts)
+    for j in range(ys.shape[1]):
+        scalar = flow(spec, spec.unpack(ys[:, j]), ts[j])
+        assert state_distance(spec.unpack(ends[:, j]), scalar) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["ball", "rigid"])
+def test_flow_many_step_counts_equal_the_marchers(kind, batch_inputs, monkeypatch):
+    # Counted from the column RHS calls of a one-column batch: 2 to pick
+    # the first step, 12 per attempt, and after each accepted step one
+    # recompute at the renormalized state, whose input repeats the previous
+    # call's outside the quaternion slot.
+    spec, ys, ts = batch_inputs[kind, "probe"]
+    calls = []
+    rhs_columns = SystemSpec.rhs_columns
+
+    def counting(self, states):
+        calls.append(np.array(states))
+        return rhs_columns(self, states)
+
+    monkeypatch.setattr(SystemSpec, "rhs_columns", counting)
+    rest = np.ones(spec.nstate, dtype=bool)
+    rest[spec.quat_slice] = False
+    for j in range(ys.shape[1]):
+        calls.clear()
+        flow_many(spec, ys[:, [j]], ts[[j]])
+        accepted = sum(np.array_equal(a[rest], b[rest]) for a, b in zip(calls, calls[1:]))
+        rejected, rem = divmod(len(calls) - 2 - 13 * accepted, 12)
+        traj = _Marcher(spec, ys[:, j], ts[j], 1e-10, 1e-12).run()
+        assert rem == 0
+        assert (accepted, rejected) == (traj.n_accepted, traj.n_rejected)
+
+
+def test_flow_many_domain_exit_fails_its_column_only(ball, mball):
+    # columns 1 and 3 leave the annulus, column 3 earlier in time; the
+    # batch raises column 1's error and the others finish untouched
+    escape = [ball_point(ball, (1.4, 0.0), (2.5, 0.0)),
+              ball_point(ball, (2.3, 0.0), (2.5, 0.0))]
+    start = [mball, escape[0], flow(ball, mball, 1.0), escape[1]]
+    ys, ts = _packed(ball, start), np.array([3.0, 10.0, 2.0, 10.0])
+    with pytest.raises(IntegrationError) as exc:
+        flow(ball, escape[0], 10.0)
+    scalar = exc.value
+    with pytest.raises(IntegrationError) as exc:
+        flow_many(ball, ys, ts)
+    err = exc.value
+    assert str(err).startswith("trajectory left the domain: center radius")
+    assert str(scalar).startswith("trajectory left the domain: center radius")
+    assert np.linalg.norm(err.last_state.a) <= 2.5
+    assert abs(err.t - scalar.t) < 1e-3 and err.t > 0.4
+    with pytest.raises(IntegrationError) as exc:
+        flow_many(ball, ys[:, [1]], ts[[1]])
+    assert exc.value.t == err.t
+    assert np.array_equal(ball.pack(exc.value.last_state), ball.pack(err.last_state))
+
+    out, failed = _lockstep(ball, ys, ts, 1e-10, 1e-12)
+    assert sorted(failed) == [1, 3] and failed[3][2] < failed[1][2]
+    for j in (0, 2):
+        assert np.array_equal(out[:, j], flow_many(ball, ys[:, [j]], ts[[j]])[:, 0])
+    assert np.array_equal(out[:, [1, 3]], ys[:, [1, 3]])
+
+
+def test_flow_many_zero_horizon_returns_start(ball, mball):
+    # as flow(m, 0) returns m, even a start outside the domain
+    outside = ball_point(ball, (5.0, 0.0), (0.0, 0.1))
+    ys = _packed(ball, [mball, mball, outside])
+    ends = flow_many(ball, ys, np.array([0.0, 1.5, 0.0]))
+    assert np.array_equal(ends[:, [0, 2]], ys[:, [0, 2]])
+    assert np.array_equal(ends[:, 1], flow_many(ball, ys[:, [1]], np.array([1.5]))[:, 0])
+    with pytest.raises(IntegrationError, match="initial state outside the domain"):
+        flow_many(ball, ys, np.array([0.0, 1.5, 1.0]))
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+def test_flow_many_rejects_bad_horizons(ball, mball, bad):
+    ys = _packed(ball, [mball, mball])
+    with pytest.raises(ValueError):
+        flow_many(ball, ys, np.array([1.0, bad]))
+
+
+def test_flow_many_rejects_bad_shapes(ball, mball):
+    ys = _packed(ball, [mball, mball])
+    with pytest.raises(ValueError):
+        flow_many(ball, ys[:8], np.array([1.0, 1.0]))
+    with pytest.raises(ValueError):
+        flow_many(ball, ys, np.array([1.0]))
 
 
 # ----------------------------------------------------------------------

@@ -120,6 +120,17 @@ def test_rigid_classifier_ignores_inertia_order(rigid_spec, perm):
     assert [k > 0 for k in margins] == [True, False]
 
 
+@pytest.mark.parametrize("inertia, positive", [((1.0, 1.0, 2.0), False),
+                                               ((1.0, 2.0, 2.0), True)])
+def test_rigid_sampler_draws_the_one_family_of_a_symmetric_top(inertia, positive):
+    # with two equal moments the family margin keeps one sign everywhere
+    body = make_rigid_body(inertia)
+    margins = [rigid_family_margin(body, m.omega_body)
+               for m in sample_rigid(body, np.random.default_rng(7), 3)]
+    assert all(abs(k) >= 0.12 for k in margins)
+    assert [k > 0 for k in margins] == [positive] * 3
+
+
 def test_rigid_sampler_exhaustion_is_typed(rigid_spec, monkeypatch):
     # the family margin of inertia (1, 2, 3) lies in [-1/3, 1]: no draw
     # reaches |margin| >= 2, so no candidate gets as far as phase()
