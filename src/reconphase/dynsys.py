@@ -57,6 +57,17 @@ R^4\\{0} in R^3\\{0} (anchor: a=(1,0), a_dot=0 -> b=(1/2,0,0)),
 w passed through; the attitude disappears with the SO(3) factor.  Rigid
 body: body angular momentum b = I Omega (w slot kept at 0 so reduced
 states are uniformly 4-vectors).
+
+Evaluation
+----------
+The dynamics formulas are written once (``SystemSpec._derivative``) and
+run on two number types.  ``SystemSpec.rhs``, the integrator's hot call,
+reads the state into Python floats once and evaluates on them, which
+costs about half of the same arithmetic on numpy scalars.
+``SystemSpec.rhs_columns`` evaluates the same formulas elementwise on
+states given as array columns.  The formulas use only ``+ - * /`` and
+``sqrt``, which IEEE 754 rounds correctly on either type, so a Python
+float result has the bits of the numpy scalar one and of each column.
 """
 
 from __future__ import annotations
@@ -164,6 +175,9 @@ class PhasePoint:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "a_dot", ad)
         object.__setattr__(self, "w", float(self.w))
+        # phase results of this point by resolved settings (verify's
+        # base-phase memo); not a field, so eq, repr and pack ignore it
+        object.__setattr__(self, "_phases", {})
         a.flags.writeable = False
         ad.flags.writeable = False
 
@@ -365,7 +379,7 @@ class SystemSpec:
         # rigid body
         qw, qx, qy, qz = y[0], y[1], y[2], y[3]
         o1, o2, o3 = y[4], y[5], y[6]
-        I1, I2, I3 = self.inertia
+        I1, I2, I3 = self.inertia.tolist()
         od1 = (I2 - I3) * o2 * o3 / I1
         od2 = (I3 - I1) * o3 * o1 / I2
         od3 = (I1 - I2) * o1 * o2 / I3
@@ -380,10 +394,12 @@ class SystemSpec:
         ]
 
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
-        """Packed-state time derivative (quaternion slot included)."""
+        """Packed-state time derivative (quaternion slot included),
+        evaluated on Python floats (see the module docstring)."""
+        yl = y.tolist()
         if self.kind == BALL:
-            self.domain_check(y, t)
-        return np.array(self._derivative(y, math.sqrt))
+            self.domain_check(yl, t)
+        return np.array(self._derivative(yl, math.sqrt))
 
     def rhs_columns(self, ys: np.ndarray):
         """``rhs`` on the states given as the columns of ``ys`` (nstate, n):

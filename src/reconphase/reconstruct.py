@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -58,7 +59,8 @@ from .liegroup import (
 
 @dataclass(frozen=True)
 class PhaseResult:
-    """Phase data of one reduced period at a point."""
+    """Phase data of one reduced period at a point.  Its arrays and its
+    ``residuals`` mapping are read-only, so a result can be shared."""
 
     tau: float
     gamma: GroupElement
@@ -67,7 +69,7 @@ class PhaseResult:
     eta: Optional[np.ndarray]
     frequencies: Optional[np.ndarray]
     delta_rep: Optional[np.ndarray]
-    residuals: dict
+    residuals: Mapping
     _trajectory: Trajectory = field(repr=False, compare=False, default=None)
 
     def to_dict(self) -> dict:
@@ -151,8 +153,9 @@ def phase(
         conjugator = conjugator_to_torus(gamma)
         eta = torus_coords(conj(conjugator, gamma), tol=1e-8)
         freqs = np.concatenate([[1.0 / pr.tau], eta / pr.tau])
-        freqs.flags.writeable = False
         delta_rep = weyl_representative(conjugator)
+        for arr in (eta, freqs, delta_rep):
+            arr.flags.writeable = False
     return PhaseResult(
         tau=pr.tau,
         gamma=gamma,
@@ -161,7 +164,7 @@ def phase(
         eta=eta,
         frequencies=freqs,
         delta_rep=delta_rep,
-        residuals=residuals,
+        residuals=MappingProxyType(residuals),
         _trajectory=traj,
     )
 

@@ -11,6 +11,15 @@ deterministic for a fixed seed; extra randomness a check needs (group
 elements, frame coordinates) comes from its own ``numpy`` generator
 seeded with the ``seed`` argument recorded in the report.
 
+A sample's base phase is computed once per resolved integration
+settings: the sampler's admission call computes it, it is kept on the
+phase point, and every check run with the same settings receives that
+result (read-only, so no check can change it for the next).  A check
+run with other settings, such as the crude-tolerance negative control
+of ``check_linearization``, computes its own.  The phases a check
+compares against the base (flowed, translated, framed points) are
+always fresh computations.
+
 The rotation-angle oracle (:func:`montgomery_oracle`) re-derives the
 rigid body's per-period rotation about its spatial momentum axis from
 scratch — its own integrator, a one-turn azimuth event and the area
@@ -148,11 +157,22 @@ def _random_group_element(spec: SystemSpec, rng) -> GroupElement:
     return GroupElement(theta, _random_rotation(rng), spec.group)
 
 
+def _base_phase(spec: SystemSpec, m: PhasePoint, **kw):
+    """The phase of m with the settings ``kw`` resolve to, computed once
+    per point and resolved settings and kept on the point, so the sampler
+    and every check of a sample share it.  A failure is not kept."""
+    key = spec.defaults.override(**kw)
+    p = m._phases.get(key)
+    if p is None:
+        p = m._phases[key] = phase(spec, m, **kw)
+    return p
+
+
 def _keep_sample(spec: SystemSpec, m: PhasePoint) -> bool:
     """Sampler admission: the candidate must have a periodic reduced
     orbit staying in the domain and a regular phase."""
     try:
-        return phase(spec, m).regular
+        return _base_phase(spec, m).regular
     except _SKIP + (NotPeriodicError, PhaseInconsistencyError):
         return False
 
@@ -253,8 +273,8 @@ def _run_check(name, spec, samples, tol, seed, desc, residual, base="torus",
     check's own generator and applies the skip policy.
 
     ``residual(m, p, rng)`` returns the worst residual of one sample, with
-    ``p`` the base phase of m (computed with ``phase_kwargs``), or None
-    when ``base`` is None.  A :class:`PhaseInconsistencyError` counts as
+    ``p`` the base phase of m (``_base_phase`` with ``phase_kwargs``), or
+    None when ``base`` is None.  A :class:`PhaseInconsistencyError` counts as
     the sample's residual; a recoverable failure, or a singular base
     phase when ``base == "torus"``, skips the sample.
     """
@@ -263,7 +283,7 @@ def _run_check(name, spec, samples, tol, seed, desc, residual, base="torus",
     residuals, skipped = [], 0
     for m in samples:
         try:
-            p = None if base is None else phase(spec, m, **phase_kwargs)
+            p = None if base is None else _base_phase(spec, m, **phase_kwargs)
             if base == "torus" and not p.regular:
                 skipped += 1
                 continue
@@ -405,7 +425,9 @@ def check_delta_integral(spec, samples, tol, seed=None) -> CheckReport:
 
 def check_frequency_flower_constancy(spec, samples, tol, seed=None, n_frames=4) -> CheckReport:
     """All points of one flower share the frequency vector (modulo the
-    branch lattice): frequencies depend only on the reduced orbit."""
+    branch lattice): frequencies depend only on the reduced orbit.  A
+    frame phase is conjugate to the regular base phase, so a singular
+    one is an inconsistency and counts as residual 1."""
     def residual(m, p, rng):
         worst = 0.0
         for _ in range(n_frames):
@@ -414,6 +436,7 @@ def check_frequency_flower_constancy(spec, samples, tol, seed=None, n_frames=4) 
             x = flower_frame(spec, p, al, g)
             px = phase(spec, x)
             if not px.regular:
+                worst = max(worst, 1.0)
                 continue
             worst = max(
                 worst,

@@ -3,6 +3,7 @@ vector-field invariance.  Oracles: closed-form values computed by hand,
 numpy polynomial evaluation, and small scipy integrations."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -207,27 +208,62 @@ def test_ball_domain_errors(ball):
 
 
 def test_rhs_columns_equal_scalar_calls_bitwise(ball, rigid):
-    # the column form runs the same formulas elementwise: each column has
-    # the scalar call's bits, and the mask marks exactly the states whose
+    # the scalar call runs the formulas on Python floats, the column form
+    # elementwise on arrays, the reference on numpy scalars: all three
+    # give the same bits, and the mask marks exactly the states whose
     # scalar call raises DomainError
     rng = np.random.default_rng(8)
+    n = 200
     ys = np.column_stack(
-        [ball.pack(random_ball_point(ball, rng)) for _ in range(12)]
+        [ball.pack(random_ball_point(ball, rng)) for _ in range(n)]
         + [[3.0, 0.0, 0.0, 0.1, 1.0, 0.0, 0.0, 0.0, 0.0],
            [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0]]
     )
     fs, outside = ball.rhs_columns(ys)
-    assert outside.tolist() == [False] * 12 + [True, True]
-    for j in range(12):
-        assert np.array_equal(fs[:, j], ball.rhs(0.0, ys[:, j]))
-    for j in (12, 13):
+    assert outside.tolist() == [False] * n + [True, True]
+    for j in range(n):
+        f = ball.rhs(0.0, ys[:, j])
+        assert np.array_equal(f, fs[:, j])
+        assert np.array_equal(f, np.array(ball._derivative(ys[:, j], math.sqrt)))
+    for j in (n, n + 1):
         with pytest.raises(DomainError):
             ball.rhs(0.0, ys[:, j])
-    ys = rng.normal(size=(7, 9))
+    ys = rng.normal(size=(7, n))
     fs, outside = rigid.rhs_columns(ys)
     assert not outside.any()
-    for j in range(9):
-        assert np.array_equal(fs[:, j], rigid.rhs(0.0, ys[:, j]))
+    for j in range(n):
+        f = rigid.rhs(0.0, ys[:, j])
+        assert np.array_equal(f, fs[:, j])
+        assert np.array_equal(f, np.array(rigid._derivative(ys[:, j], math.sqrt)))
+
+
+@pytest.mark.parametrize("y, annulus, message", [
+    ([3.0, 0.0, 0.0, 0.1, 1.0, 0.0, 0.0, 0.0, 0.0], (0.2, 2.5),
+     "center radius 3 left the annulus [0.2, 2.5]"),
+    ([0.1, 0.1, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0], (0.2, 2.5),
+     "center radius 0.141421 left the annulus [0.2, 2.5]"),
+    ([0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0], (0.2, 2.5),
+     "center radius 0 left the annulus [0.2, 2.5]"),
+    ([0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0], (0.0, 2.5),
+     "(a, a_dot) collapsed to 0"),
+    ([np.nan, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0], (0.2, 2.5),
+     "center radius nan left the annulus [0.2, 2.5]"),
+    ([0.5, 0.0, np.nan, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0], (0.2, 2.5),
+     "(a, a_dot) collapsed to 0"),
+])
+def test_rhs_domain_error_payload(ball, y, annulus, message):
+    # the scalar call tests the domain on Python floats: its message,
+    # last state and time are the ones the numpy-scalar test gives
+    spec = replace(ball, annulus=annulus)
+    y = np.array(y)
+    with pytest.raises(DomainError) as on_floats:
+        spec.rhs(1.5, y)
+    with pytest.raises(DomainError) as on_numpy:
+        spec.domain_check(y, 1.5)
+    for e in (on_floats.value, on_numpy.value):
+        assert str(e) == message
+        assert np.array_equal(e.last_state, y, equal_nan=True)
+        assert e.t == 1.5
 
 
 def test_vector_field_invariance(ball, rigid):

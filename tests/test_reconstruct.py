@@ -125,6 +125,23 @@ def test_frequency_vector_structure(ball):
     np.testing.assert_allclose(f[1:], p.eta / p.tau, atol=0)
 
 
+@pytest.mark.parametrize("system", ["ball", "rigid"])
+def test_phase_result_is_read_only(request, system):
+    # verify hands one result to every check of a sample: none can change
+    # it for the next
+    _, _, p = request.getfixturevalue(system)
+    for arr in (p.eta, p.frequencies, p.delta_rep):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    with pytest.raises(TypeError):
+        p.residuals["closure"] = 0.0
+    with pytest.raises(TypeError):
+        del p.residuals["defining"]
+    d = p.to_dict()
+    d["residuals"]["closure"] = 1.0
+    assert p.residuals["closure"] != 1.0
+
+
 def test_frequency_arithmetic_on_synthetic_phase():
     # hand-built regular phase: quarter-turn about e3 with circle part pi
     gamma = GroupElement(math.pi, Rotation.from_axis_angle([0, 0, 1], math.pi / 2))
@@ -213,6 +230,23 @@ def test_rigid_time_rescaling(rigid, s):
     # s omega traces the same orbit at s times the speed
     spec, m, p = rigid
     ps = phase(spec, rigid_point(spec, m.Q, s * m.omega_body))
+    assert abs(ps.tau - p.tau / s) < 5e-7
+    assert group_distance(ps.gamma, p.gamma) < 5e-7
+
+
+@pytest.mark.parametrize("s", [0.5, 2.0, 7.0])
+def test_ball_time_rescaling(ball, s):
+    # gravity -> s^2 g with (a_dot, w) -> s (a_dot, w) scales every term of
+    # the ball's equations by s^2 in the accelerations and s in the rates:
+    # the same orbit at s times the speed
+    spec, m, p = ball
+    pr = spec.profile
+    spec_s = make_ball_system(
+        SurfaceProfile(pr.coeffs, gravity=s * s * pr.gravity, mass=pr.mass,
+                       inertia_ratio=pr.inertia_ratio),
+        annulus=spec.annulus,
+    )
+    ps = phase(spec_s, ball_point(spec_s, m.a, s * m.a_dot, m.Q, s * m.w))
     assert abs(ps.tau - p.tau / s) < 5e-7
     assert group_distance(ps.gamma, p.gamma) < 5e-7
 

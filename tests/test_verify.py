@@ -1,5 +1,8 @@
+import gc
 import itertools
 import math
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -273,6 +276,89 @@ def test_negative_control_corrupted_flow_fails(rigid_spec, rigid_samples):
     )
     assert rep.verdict == "fail"
     assert rep.max_residual > 1e-4
+
+
+def test_singular_frame_phase_fails_frequency_constancy(rigid_spec, rigid_samples,
+                                                       monkeypatch):
+    # regularity is conjugation-invariant: a singular frame phase at a
+    # regular base is an inconsistency, not a frame to drop
+    samples = rigid_samples[:1]
+    real = verify.phase
+
+    def singular_frames(spec, m, **kw):
+        p = real(spec, m, **kw)
+        if any(m is s for s in samples):
+            return p
+        return replace(p, regular=False, conjugator=None, eta=None,
+                       frequencies=None, delta_rep=None)
+
+    monkeypatch.setattr(verify, "phase", singular_frames)
+    rep = check_frequency_flower_constancy(rigid_spec, samples, 1e-7, seed=6,
+                                           n_frames=2)
+    assert rep.verdict == "fail"
+    assert rep.max_residual == 1.0
+
+
+# ---------------------------------------------------------------------------
+# one base phase per sample
+# ---------------------------------------------------------------------------
+
+PHASE_CHECKS = (check_phase_conserved, check_equivariance, check_linearization,
+                check_flower_invariants, check_delta_integral,
+                check_frequency_flower_constancy)
+CRUDE = dict(rtol=1e-2, atol=1e-2, tol_closure=0.5, tol_phase=np.inf)
+
+
+def _spy_on_phase(monkeypatch):
+    """Record (point, keywords, result) of every ``verify.phase`` call."""
+    calls = []
+    real = verify.phase
+
+    def spy(spec, m, **kw):
+        p = real(spec, m, **kw)
+        calls.append((m, kw, p))
+        return p
+
+    monkeypatch.setattr(verify, "phase", spy)
+    return calls
+
+
+def test_base_phase_is_computed_once_per_sample(rigid_spec, monkeypatch):
+    calls = _spy_on_phase(monkeypatch)
+    samples = sample_points(rigid_spec, np.random.default_rng(5), 2)
+    n_sampler = len(calls)
+    for check in PHASE_CHECKS:
+        assert check(rigid_spec, samples, 1e-6, seed=1).n_skipped == 0
+    # the sampler's admission call is the only phase of each sample point
+    assert [sum(m is s for m, _, _ in calls) for s in samples] == [1, 1]
+    # the rest are fresh phases of flowed, translated or framed points:
+    # 4 in phase_conserved, 5 in equivariance, 4 in delta_integral and 4
+    # in frequency_flower_constancy, per sample
+    assert len(calls) - n_sampler == 17 * len(samples)
+
+
+def test_negative_control_computes_its_own_base(rigid_spec, monkeypatch):
+    samples = sample_points(rigid_spec, np.random.default_rng(5), 2)
+    calls = _spy_on_phase(monkeypatch)
+    rep = check_linearization(rigid_spec, samples, 1e-6, seed=3, **CRUDE)
+    assert rep.verdict == "fail" and rep.max_residual > 1e-4
+    assert len(calls) == len(samples)
+    assert all(m is s and kw == CRUDE for (m, kw, _), s in zip(calls, samples))
+    # the default-settings base the sampler computed is still the one kept
+    n_crude = len(calls)
+    assert check_linearization(rigid_spec, samples, 1e-6, seed=3).passed
+    assert len(calls) == n_crude
+
+
+def test_base_phase_memo_is_freed_with_the_samples(rigid_spec, monkeypatch):
+    calls = _spy_on_phase(monkeypatch)
+    samples = sample_points(rigid_spec, np.random.default_rng(5), 1)
+    p = verify._base_phase(rigid_spec, samples[0])
+    assert p is calls[-1][2]
+    ref = weakref.ref(p)
+    del p, samples, calls[:]
+    gc.collect()
+    assert ref() is None
 
 
 # ---------------------------------------------------------------------------
