@@ -12,19 +12,22 @@ The package is layered bottom-up:
     revolution and a free rigid body — with their symmetry actions,
     reductions and pointwise invariants.
 ``integrate``
-    DOP853 integration with quaternion renormalization (dense output
-    where a trajectory is kept), lockstep batches of fixed-horizon flows
-    over packed columns, and the reduced-period section search.
+    Numerics only: DOP853 integration with quaternion renormalization
+    (dense output where a trajectory is kept), lockstep batches of
+    fixed-horizon flows over packed columns, and the reduced-period
+    section search.
 ``reconstruct``
     The per-orbit reconstruction phase gamma with act(gamma, m) =
-    flow(m, tau), torus coordinates eta, invariant-torus embeddings,
-    flower frames, the petal invariant delta and petal classification.
+    flow(m, tau), torus coordinates eta, invariant-torus embeddings and
+    their commuting-square residuals against the flow, flower frames,
+    the petal invariant delta and petal classification.
 ``verify``
     Randomized invariance checks with pass/fail/inconclusive reports,
     admissible-sample generators, and an independent rigid-body
     rotation-angle oracle.
 ``config`` / ``cli``
-    JSON run configurations and the ``reconphase`` command-line tool.
+    JSON run configurations and the ``reconphase`` command-line tool,
+    which alone writes the v1 CSV and JSON files.
 """
 
 from .errors import (
@@ -37,6 +40,7 @@ from .errors import (
     PhaseInconsistencyError,
     ReconphaseError,
     SamplerExhaustedError,
+    SectionRefinementError,
 )
 from .liegroup import (
     GroupElement,
@@ -72,7 +76,6 @@ from .dynsys import (
 from .integrate import (
     PeriodResult,
     Trajectory,
-    export_csv,
     find_reduced_period,
     flow,
     flow_many,
@@ -80,6 +83,7 @@ from .integrate import (
 )
 from .reconstruct import (
     PhaseResult,
+    conjugacy_residuals,
     delta,
     delta_from_axis,
     flower_frame,

@@ -27,15 +27,16 @@ import numpy as np
 
 from . import config as cfg
 # act is unused here but stays importable: the benchmark tracer patches it
-from .dynsys import BALL, PhasePoint, SystemSpec, act, state_distance
+from .dynsys import BALL, PhasePoint, SystemSpec, act
 from .errors import (
     ConfigError,
     PeriodNotFoundError,
     ReconphaseError,
 )
 # flow is unused here but stays importable: the benchmark tracer patches it
-from .integrate import export_csv, flow, flow_many, flow_trajectory
-from .reconstruct import phase, torus_embed
+from .integrate import flow, flow_trajectory
+from .liegroup import torus_rank
+from .reconstruct import conjugacy_residuals, phase, torus_embed
 from .verify import ALL_CHECKS, sample_points
 
 # a period-continuity check needs a one-parameter family, not i.i.d.
@@ -87,6 +88,25 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+def _write_csv(resolved: dict, name: str, spec: SystemSpec, meta, cols, rows) -> str:
+    """Write ``{name}.csv`` in the v1 layout of ``docs/output-schema.md``:
+    the format line, the system, one comment line per ``meta`` entry, the
+    config echo, the header and the rows (strings as they are, numbers
+    through ``_fmt``).  Returns the path."""
+    buf = io.StringIO()
+    buf.write(f"# reconphase {name} csv v1\n")
+    buf.write(f"# system: {spec.kind}\n")
+    for line in meta:
+        buf.write(f"# {line}\n")
+    buf.write(f"# config: {_config_echo(resolved)}\n")
+    buf.write(",".join(cols) + "\n")
+    for row in rows:
+        buf.write(",".join(v if isinstance(v, str) else _fmt(v) for v in row) + "\n")
+    path = _out_path(resolved, f"{name}.csv")
+    _write_text(path, buf.getvalue())
+    return path
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -98,10 +118,11 @@ def cmd_simulate(resolved: dict, t_end: float) -> int:
     if not (t_end > 0 and math.isfinite(t_end)):
         raise ConfigError("--t-end must be a positive finite time")
     traj = flow_trajectory(spec, m0, t_end)
-    buf = io.StringIO()
-    export_csv(traj, buf, config_echo=_config_echo(resolved))
-    path = _out_path(resolved, "trajectory.csv")
-    _write_text(path, buf.getvalue())
+    cols = ("t", *spec.state_columns(), *spec.invariant_names())
+    rows = (
+        [t, *y, *spec.invariants_y(y)] for t, y in zip(traj.times, traj.states)
+    )
+    path = _write_csv(resolved, "trajectory", spec, (), cols, rows)
     print(
         f"simulate: {len(traj.times)} nodes over t=[0, {_fmt(t_end)}] -> {path}"
     )
@@ -164,37 +185,21 @@ def cmd_torus(resolved: dict, grid: int) -> int:
     ticks = [i / grid for i in range(grid)]
     beta_cols = [f"beta_{j + 1}" for j in range(rank)]
     cols = ["alpha", *beta_cols, *spec.state_columns(), "conjugacy_residual"]
-
-    buf = io.StringIO()
-    buf.write("# reconphase torus csv v1\n")
-    buf.write(f"# system: {spec.kind}\n")
-    buf.write(f"# torus rank: {rank + 1}\n")
-    buf.write(f"# flow probe fraction: {_fmt(TORUS_PROBE)}\n")
-    buf.write(f"# config: {_config_echo(resolved)}\n")
-    buf.write(",".join(cols) + "\n")
-
     points = [
         (alpha, beta, torus_embed(spec, p, alpha, beta))
         for alpha in ticks
         for beta in map(np.array, itertools.product(ticks, repeat=rank))
     ]
-    starts = np.column_stack([spec.pack(x) for _, _, x in points])
-    ends = flow_many(spec, starts, np.full(len(points), TORUS_PROBE * p.tau))
-    worst = 0.0
-    for (alpha, beta, x), y_start, y_end in zip(points, starts.T, ends.T):
-        rhs = torus_embed(
-            spec, p, alpha + TORUS_PROBE, beta + TORUS_PROBE * p.eta
-        )
-        resid = state_distance(spec.unpack(y_end), rhs)
-        worst = max(worst, resid)
-        row = [alpha, *beta, *y_start, resid]
-        buf.write(",".join(_fmt(v) for v in row) + "\n")
-
-    path = _out_path(resolved, "torus.csv")
-    _write_text(path, buf.getvalue())
+    residuals = conjugacy_residuals(spec, p, points, [TORUS_PROBE])[:, 0]
+    rows = (
+        [alpha, *beta, *spec.pack(x), resid]
+        for (alpha, beta, x), resid in zip(points, residuals)
+    )
+    meta = (f"torus rank: {rank + 1}", f"flow probe fraction: {_fmt(TORUS_PROBE)}")
+    path = _write_csv(resolved, "torus", spec, meta, cols, rows)
     print(
         f"torus: {len(points)} grid points, max conjugacy residual "
-        f"{worst:.3e} -> {path}"
+        f"{residuals.max():.3e} -> {path}"
     )
     return 0
 
@@ -276,7 +281,7 @@ def cmd_sweep(resolved: dict, param: str, values) -> int:
         raise ConfigError("sweep requires an initial_state block as the base point")
     base = resolved["initial_state"]
 
-    rank = 2 if spec.kind == BALL else 1
+    rank = torus_rank(spec.group)
     freq_cols = [f"freq_{j}" for j in range(rank + 1)]
     eta_cols = [f"eta_{j + 1}" for j in range(rank)]
     cols = [
@@ -293,15 +298,9 @@ def cmd_sweep(resolved: dict, param: str, values) -> int:
     ]
     n_numeric = len(cols) - 2
 
-    buf = io.StringIO()
-    buf.write("# reconphase sweep csv v1\n")
-    buf.write(f"# system: {spec.kind}\n")
-    buf.write(f"# parameter: {param}\n")
-    buf.write(f"# config: {_config_echo(resolved)}\n")
-    buf.write(",".join(cols) + "\n")
-
     n_ok = 0
     taus = []
+    rows = []
     for value in values:
         state = _sweep_state(spec.kind, base, param, float(value))
         row_cfg = dict(resolved, initial_state=state)
@@ -309,35 +308,19 @@ def cmd_sweep(resolved: dict, param: str, values) -> int:
             m = cfg.build_initial_state(row_cfg, spec)
             p = phase(spec, m)
         except ReconphaseError as e:
-            nums = ["nan"] * n_numeric
-            buf.write(",".join([_fmt(value), type(e).__name__, *nums]) + "\n")
+            rows.append([value, type(e).__name__] + [math.nan] * n_numeric)
             continue
-        if not p.regular:
-            status = "singular"
-            freq = [1.0 / p.tau] + [math.nan] * rank
-            eta = [math.nan] * rank
-            delta = [math.nan] * 3
-        else:
-            status = "ok"
-            freq = list(p.frequencies)
-            eta = list(p.eta)
-            delta = list(p.delta_rep)
+        if p.regular:
             n_ok += 1
+            status, torus = "ok", [*p.frequencies, *p.eta, *p.delta_rep]
+        else:
+            # frequencies past 1/tau, eta and delta need a regular phase
+            status, torus = "singular", [1.0 / p.tau] + [math.nan] * (2 * rank + 3)
         taus.append(p.tau)
-        row = [
-            _fmt(value),
-            status,
-            _fmt(p.tau),
-            *(_fmt(v) for v in freq),
-            *(_fmt(v) for v in eta),
-            *(_fmt(v) for v in delta),
-            _fmt(p.residuals["closure"]),
-            _fmt(p.residuals["defining"]),
-        ]
-        buf.write(",".join(row) + "\n")
+        rows.append([value, status, p.tau, *torus,
+                     p.residuals["closure"], p.residuals["defining"]])
 
-    path = _out_path(resolved, "sweep.csv")
-    _write_text(path, buf.getvalue())
+    path = _write_csv(resolved, "sweep", spec, (f"parameter: {param}",), cols, rows)
     n = len(values)
     span = f"tau in [{min(taus):.6g}, {max(taus):.6g}]" if taus else "no periods found"
     print(f"sweep: {n_ok}/{n} points regular, {span} -> {path}")
@@ -431,7 +414,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (ReconphaseError, RuntimeError) as e:
+    except ReconphaseError as e:
         print(f"runtime error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
 

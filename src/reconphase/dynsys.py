@@ -291,9 +291,13 @@ class SystemSpec:
                     t=t,
                 )
             if not moving:
-                raise DomainError(
-                    "(a, a_dot) collapsed to 0", last_state=np.array(y), t=t
+                ad = (float(y[2]), float(y[3]))
+                what = (
+                    "(a, a_dot) collapsed to 0"
+                    if all(map(math.isfinite, ad))
+                    else f"velocity a_dot = ({ad[0]:.6g}, {ad[1]:.6g}) is not finite"
                 )
+                raise DomainError(what, last_state=np.array(y), t=t)
 
     def _ball_geometry(self, a1, a2, ad1, ad2, sqrt=math.sqrt):
         pr = self.profile

@@ -45,6 +45,11 @@ class NotPeriodicError(ReconphaseError):
         self.t_searched = t_searched
 
 
+class SectionRefinementError(ReconphaseError):
+    """The root finder refining a section crossing of the period search
+    failed inside its bracket (the message names the bracket times)."""
+
+
 class PhaseInconsistencyError(ReconphaseError):
     """The group element solving act(g, m) = flow(m, tau) has residual
     above tolerance, i.e. the return point is not on the group orbit."""

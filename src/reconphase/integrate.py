@@ -1,5 +1,6 @@
 """Adaptive integration (DOP853) plus detection of the reduced
-trajectory's return time (the reduced period).
+trajectory's return time (the reduced period).  The module is numerics
+only: it writes no files (``cli`` owns the output formats).
 
 The attitude quaternion is renormalized after every accepted step.
 Callers that keep a trajectory (``flow_trajectory`` and the period
@@ -36,7 +37,8 @@ minimal-period floor whose reduced state also returns to the start
 (closure) is the period.  Crossings that fail
 closure are other intersections of the reduced orbit with the section
 hyperplane and are skipped; if only such crossings exist up to t_max the
-orbit is reported as not periodic.
+orbit is reported as not periodic.  A refinement that fails inside its
+bracket raises ``SectionRefinementError``.
 """
 
 from __future__ import annotations
@@ -56,7 +58,19 @@ from .errors import (
     IntegrationError,
     NotPeriodicError,
     PeriodNotFoundError,
+    SectionRefinementError,
 )
+
+
+def _failure(spec: SystemSpec, what: str, y_last, t: float, cause=None):
+    """The typed integration failure: ``what`` (followed by the domain
+    error ``cause`` when there is one) with the last valid packed state
+    ``y_last`` and its time ``t``; ``cause`` is chained as ``__cause__``."""
+    if cause is not None:
+        what = f"{what}: {cause}"
+    error = IntegrationError(what, last_state=spec.unpack(y_last), t=t)
+    error.__cause__ = cause
+    return error
 
 
 class _CountingDOP853(DOP853):
@@ -148,11 +162,7 @@ class _Marcher:
         try:
             spec.domain_check(y0)
         except DomainError as e:
-            raise IntegrationError(
-                f"initial state outside the domain: {e}",
-                last_state=spec.unpack(y0),
-                t=0.0,
-            ) from e
+            raise _failure(spec, "initial state outside the domain", y0, 0.0, e)
         self.spec = spec
         self.dense = dense
         self.traj = Trajectory(spec, [0.0], [np.array(y0)], [])
@@ -164,9 +174,7 @@ class _Marcher:
                     rhs or spec.rhs, 0.0, y0, t_bound=t_bound, rtol=rtol, atol=atol
                 )
             except DomainError as e:
-                raise IntegrationError(
-                    f"domain exit at start: {e}", last_state=spec.unpack(y0), t=0.0
-                ) from e
+                raise _failure(spec, "domain exit at start", y0, 0.0, e)
 
     def step(self):
         """Advance one accepted step; returns its segment when dense
@@ -175,17 +183,11 @@ class _Marcher:
         try:
             msg = self.solver.step()
         except DomainError as e:
-            raise IntegrationError(
-                f"trajectory left the domain: {e}",
-                last_state=self.spec.unpack(traj.states[-1]),
-                t=traj.times[-1],
-            ) from e
+            raise _failure(self.spec, "trajectory left the domain",
+                           traj.states[-1], traj.times[-1], e)
         if self.solver.status == "failed":
-            raise IntegrationError(
-                f"step-size underflow: {msg}",
-                last_state=self.spec.unpack(traj.states[-1]),
-                t=traj.times[-1],
-            )
+            raise _failure(self.spec, f"step-size underflow: {msg}",
+                           traj.states[-1], traj.times[-1])
         y_new = np.array(self.solver.y)
         y_fix = np.array(y_new)
         q = y_fix[self.qs]
@@ -423,10 +425,7 @@ def flow_many(spec: SystemSpec, ys, ts, rtol=None, atol=None) -> np.ndarray:
                 spec.domain_check(y_bad)
             except DomainError as e:
                 cause = e
-                what = f"{what}: {e}"
-        raise IntegrationError(
-            what, last_state=spec.unpack(y_last), t=t
-        ) from cause
+        raise _failure(spec, what, y_last, t, cause)
     return out
 
 
@@ -480,10 +479,16 @@ def _period_search(spec: SystemSpec, m: PhasePoint, s: IntegrationDefaults):
                 continue
             if ts[i] <= s.min_period:
                 continue
-            t_star, rr = brentq(
-                lambda t: float(sig(np.array([t]))[0]),
-                ts[i - 1], ts[i], xtol=1e-13, rtol=1e-15, full_output=True,
-            )
+            try:
+                t_star, rr = brentq(
+                    lambda t: float(sig(np.array([t]))[0]),
+                    ts[i - 1], ts[i], xtol=1e-13, rtol=1e-15, full_output=True,
+                )
+            except RuntimeError as e:
+                raise SectionRefinementError(
+                    f"section crossing in [{float(ts[i - 1])!r}, {float(ts[i])!r}] "
+                    f"was not refined: {e}"
+                ) from e
             if t_star <= s.min_period:
                 continue
             found_crossing = True
@@ -518,23 +523,3 @@ def find_reduced_period(spec: SystemSpec, m: PhasePoint, **kwargs) -> PeriodResu
     result, _ = _period_search(spec, m, spec.defaults.override(**kwargs))
     return result
 
-
-# ---------------------------------------------------------------------------
-# CSV export
-# ---------------------------------------------------------------------------
-
-
-def export_csv(traj: Trajectory, stream, config_echo: str = None):
-    """Write the trajectory nodes as CSV to a text stream: time, packed
-    state components, pointwise invariants.  Floats use shortest
-    round-trip formatting."""
-    spec = traj.spec
-    stream.write("# reconphase trajectory csv v1\n")
-    stream.write(f"# system: {spec.kind}\n")
-    if config_echo is not None:
-        stream.write(f"# config: {config_echo}\n")
-    cols = ("t",) + spec.state_columns() + spec.invariant_names()
-    stream.write(",".join(cols) + "\n")
-    for t, y in zip(traj.times, traj.states):
-        row = [t, *y, *spec.invariants_y(y)]
-        stream.write(",".join(repr(float(v)) for v in row) + "\n")

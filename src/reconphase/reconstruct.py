@@ -24,10 +24,13 @@ Conventions
   and is constant on petals; its level set inside one flower consists of
   exactly two petals (swapped by a half-turn about a horizontal axis
   orthogonal to the phase axis).
+* ``conjugacy_residuals`` measures the chart's commuting square (flow
+  vs linear shift of the coordinates) for the CLI and the checks alike.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -39,7 +42,7 @@ from scipy.optimize import minimize_scalar
 from .dynsys import BALL, PhasePoint, SystemSpec, act, state_distance
 from .errors import DomainError, PhaseInconsistencyError
 # flow is unused here but stays importable: the benchmark tracer patches it
-from .integrate import Trajectory, _period_search, flow
+from .integrate import Trajectory, _period_search, flow, flow_many
 from .liegroup import (
     E1,
     E3,
@@ -96,7 +99,7 @@ class PhaseResult:
 
 def _procrustes_angle(sources, targets) -> float:
     """Best rotation angle for S_theta @ source_i ~ target_i (2-vectors)."""
-    m00 = m01 = m10 = m11 = 0.0
+    m00 = m01 = 0.0
     for s, t in zip(sources, targets):
         m00 += t[0] * s[0] + t[1] * s[1]
         m01 += -t[0] * s[1] + t[1] * s[0]
@@ -201,6 +204,27 @@ def torus_embed(
         raise DomainError("torus embedding requires a regular phase")
     h_beta = _centralizer_element(p, beta, spec.group)
     return flower_frame(spec, p, alpha, h_beta)
+
+
+def conjugacy_residuals(
+    spec: SystemSpec, p: PhaseResult, chart, t_fracs, rtol=None, atol=None
+) -> np.ndarray:
+    """Commuting-square residuals of the torus chart: entry (i, j) is the
+    distance of a fresh flow of ``chart[i] = (alpha, beta, x)``, x =
+    torus_embed(spec, p, alpha, beta), over ``t_fracs[j]`` periods from
+    the chart point at (alpha + tf, beta + tf eta).  The flows run as one
+    ``flow_many`` batch at ``rtol``/``atol``."""
+    grid = list(itertools.product(chart, t_fracs))
+    ys = np.column_stack([spec.pack(x) for (_, _, x), _ in grid])
+    ts = np.array([tf * p.tau for _, tf in grid])
+    ends = flow_many(spec, ys, ts, rtol=rtol, atol=atol)
+    residuals = [
+        state_distance(
+            spec.unpack(y_end), torus_embed(spec, p, al + tf, be + tf * p.eta)
+        )
+        for ((al, be, _), tf), y_end in zip(grid, ends.T)
+    ]
+    return np.array(residuals).reshape(len(chart), len(t_fracs))
 
 
 def flower_frame(

@@ -29,7 +29,6 @@ cross-validates two code paths.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -46,7 +45,6 @@ from .dynsys import (
     ball_point,
     d_act,
     rigid_point,
-    state_distance,
     vector_field,
 )
 from .errors import (
@@ -58,7 +56,7 @@ from .errors import (
     PhaseInconsistencyError,
     SamplerExhaustedError,
 )
-from .integrate import find_reduced_period, flow, flow_many
+from .integrate import find_reduced_period, flow
 from .liegroup import (
     GroupElement,
     Rotation,
@@ -67,6 +65,7 @@ from .liegroup import (
     projective_distance,
 )
 from .reconstruct import (
+    conjugacy_residuals,
     flower_frame,
     frequency_mismatch,
     phase,
@@ -337,8 +336,8 @@ def check_equivariance(spec, samples, tol, seed=None, n_group=5) -> CheckReport:
 def check_linearization(spec, samples, tol, seed=None, rtol=None, atol=None,
                         tol_closure=None, tol_phase=None) -> CheckReport:
     """The torus chart conjugates the flow to a linear flow: the
-    commuting-square residual of flow-then-embed vs embed-then-shift on
-    an (alpha, beta, t) grid.
+    commuting-square residual (``conjugacy_residuals``) of flow-then-embed
+    vs embed-then-shift on an (alpha, beta, t) grid.
 
     ``rtol``/``atol`` (with matching ``tol_closure``/``tol_phase``
     loosening) exist so a deliberately corrupted flow can be fed through
@@ -356,20 +355,9 @@ def check_linearization(spec, samples, tol, seed=None, rtol=None, atol=None,
         if rank == 2:
             betas[2] = np.array([0.7, 0.2])
         chart = [(al, be, torus_embed(spec, p, al, be)) for al in alphas for be in betas]
-        # one fresh integration per (chart point, horizon), run as one batch
-        grid = list(itertools.product(chart, t_fracs))
-        ends = flow_many(
-            spec,
-            np.column_stack([spec.pack(x) for (_, _, x), _ in grid]),
-            np.array([tf * p.tau for _, tf in grid]),
-            rtol=rtol,
-            atol=atol,
+        return float(
+            conjugacy_residuals(spec, p, chart, t_fracs, rtol=rtol, atol=atol).max()
         )
-        worst = 0.0
-        for ((al, be, _), tf), y_end in zip(grid, ends.T):
-            rhs = torus_embed(spec, p, al + tf, be + tf * p.eta)
-            worst = max(worst, state_distance(spec.unpack(y_end), rhs))
-        return worst
 
     desc = f"{len(samples)} initial conditions x 3x3x3 (alpha, beta, t) grid"
     return _run_check("linearization", spec, samples, tol, seed, desc, residual,

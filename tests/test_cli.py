@@ -1,9 +1,11 @@
 """Config-loading and command-line behavior: schema rejection, exit
 codes, output formats, determinism, env/flag overrides."""
 
+import csv
 import json
 import math
 import os
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -11,7 +13,9 @@ import pytest
 
 import reconphase.cli as cli
 import reconphase.config as cfg
+import reconphase.integrate as integrate
 from reconphase import BALL, ConfigError, IntegrationDefaults
+from reconphase.reconstruct import conjugacy_residuals, phase, torus_embed
 from reconphase.verify import CheckReport
 
 BALL_CONFIG = {
@@ -225,6 +229,29 @@ def test_simulate_writes_trajectory_csv(tmp_path):
     assert float(first[0]) == 0.0 and float(first[1]) == 0.9
 
 
+def _csv_rows(path):
+    lines = path.read_text().splitlines()
+    return list(csv.DictReader(l for l in lines if not l.startswith("#")))
+
+
+@pytest.mark.parametrize("doc", [BALL_CONFIG, RIGID_CONFIG], ids=["ball", "rigid"])
+def test_simulate_csv_round_trips_every_node(tmp_path, doc):
+    config = write_config(tmp_path, doc)
+    assert run_cli("simulate", "--config", config, "--t-end", "2.0",
+                   "--out", str(tmp_path)) == 0
+    resolved = cfg.resolve_config(doc, env={})
+    spec = cfg.build_system(resolved)
+    traj = integrate.flow_trajectory(spec, cfg.build_initial_state(resolved, spec), 2.0)
+    rows = _csv_rows(tmp_path / "trajectory.csv")
+    assert list(rows[0]) == ["t", *spec.state_columns(), *spec.invariant_names()]
+    assert len(rows) == len(traj.times)
+    # shortest-round-trip floats reproduce the stored node states exactly
+    for row, t, y in zip(rows, traj.times, traj.states):
+        assert float(row["t"]) == t
+        assert [float(row[c]) for c in spec.state_columns()] == list(y)
+        assert float(row["energy"]) == spec.energy_y(y)
+
+
 def test_phase_json_ball(tmp_path):
     config = write_config(tmp_path, BALL_CONFIG)
     assert run_cli("phase", "--config", config, "--out", str(tmp_path)) == 0
@@ -260,6 +287,24 @@ def test_torus_grid_small_residuals(tmp_path):
     data = [l.split(",") for l in lines[lines.index(header) + 1:]]
     assert len(data) == 9  # 3 alpha ticks x 3 beta ticks
     assert max(float(row[-1]) for row in data) < 1e-8
+
+
+def test_torus_residual_column_is_the_commuting_square(tmp_path):
+    config = write_config(tmp_path, BALL_CONFIG)
+    assert run_cli("torus", "--config", config, "--grid", "2",
+                   "--out", str(tmp_path)) == 0
+    rows = _csv_rows(tmp_path / "torus.csv")
+    resolved = cfg.resolve_config(BALL_CONFIG, env={})
+    spec = cfg.build_system(resolved)
+    p = phase(spec, cfg.build_initial_state(resolved, spec))
+    points = []
+    for row in rows:
+        alpha = float(row["alpha"])
+        beta = np.array([float(row["beta_1"]), float(row["beta_2"])])
+        points.append((alpha, beta, torus_embed(spec, p, alpha, beta)))
+    expected = conjugacy_residuals(spec, p, points, [cli.TORUS_PROBE])[:, 0]
+    assert len(rows) == 8
+    assert [float(row["conjugacy_residual"]) for row in rows] == list(expected)
 
 
 def test_verify_subset_passes(tmp_path):
@@ -406,6 +451,20 @@ def test_runtime_error_exit_code(tmp_path, capsys):
     assert run_cli("simulate", "--config", config, "--t-end", "10.0",
                    "--out", str(tmp_path)) == 3
     assert "runtime error" in capsys.readouterr().err
+
+
+def test_failed_crossing_refinement_is_typed(tmp_path, capsys, monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise RuntimeError("Failed to converge after 100 iterations")
+
+    monkeypatch.setattr(integrate, "brentq", no_convergence)
+    config = write_config(tmp_path, BALL_CONFIG)
+    assert run_cli("phase", "--config", config, "--out", str(tmp_path)) == 3
+    err = capsys.readouterr().err
+    # the message keeps the bracket the refinement was given
+    assert re.search(r"runtime error: SectionRefinementError: section crossing "
+                     r"in \[\d\S*, \d\S*\] was not refined", err)
+    assert "Failed to converge after 100 iterations" in err
 
 
 def test_sampler_exhaustion_exit_code(tmp_path, capsys):

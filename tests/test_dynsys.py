@@ -249,7 +249,7 @@ def test_rhs_columns_equal_scalar_calls_bitwise(ball, rigid):
     ([np.nan, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0], (0.2, 2.5),
      "center radius nan left the annulus [0.2, 2.5]"),
     ([0.5, 0.0, np.nan, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0], (0.2, 2.5),
-     "(a, a_dot) collapsed to 0"),
+     "velocity a_dot = (nan, 0) is not finite"),
 ])
 def test_rhs_domain_error_payload(ball, y, annulus, message):
     # the scalar call tests the domain on Python floats: its message,

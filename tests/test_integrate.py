@@ -6,8 +6,6 @@ equations near a stable axis, re-integration at a tighter tolerance,
 and the scalar marcher for the lockstep batch.
 """
 
-import csv
-import io
 import itertools
 import math
 from dataclasses import asdict
@@ -36,7 +34,6 @@ from reconphase.integrate import (
     _lockstep,
     _Marcher,
     _period_search,
-    export_csv,
     find_reduced_period,
     flow,
     flow_many,
@@ -439,33 +436,3 @@ def test_unknown_setting_raises_type_error(ball, mball):
     with pytest.raises(TypeError):
         flow(ball, mball, 1.0, tol_closure=1e-7)
 
-
-# ----------------------------------------------------------------------
-# CSV export
-# ----------------------------------------------------------------------
-
-
-def test_export_csv_round_trips(ball, mball):
-    traj = flow_trajectory(ball, mball, 2.0)
-    buf = io.StringIO()
-    export_csv(traj, buf, config_echo='{"system":"ball"}')
-    lines = buf.getvalue().splitlines()
-    assert lines[0].startswith("# reconphase trajectory csv v1")
-    header_idx = next(i for i, l in enumerate(lines) if not l.startswith("#"))
-    reader = csv.DictReader(lines[header_idx:])
-    rows = list(reader)
-    assert len(rows) == len(traj.times)
-    # shortest-roundtrip floats reproduce the stored values exactly
-    for row, t, y in zip(rows, traj.times, traj.states):
-        assert float(row["t"]) == t
-        assert float(row["a1"]) == y[0]
-        assert float(row["qw"]) == y[4]
-        assert float(row["energy"]) == ball.energy_y(y)
-
-
-def test_export_csv_to_stream(rigid, mrigid):
-    traj = flow_trajectory(rigid, mrigid, 1.0)
-    buf = io.StringIO()
-    export_csv(traj, buf)
-    text = buf.getvalue()
-    assert "omega1" in text and "momentum_norm" in text

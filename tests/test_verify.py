@@ -21,7 +21,7 @@ from reconphase.errors import (
     SamplerExhaustedError,
 )
 from reconphase.liegroup import Rotation
-from reconphase.reconstruct import phase
+from reconphase.reconstruct import conjugacy_residuals, phase, torus_embed
 from reconphase.verify import (
     ALL_CHECKS,
     CheckReport,
@@ -236,6 +236,21 @@ def test_all_checks_pass_rigid(rigid_spec, rigid_samples):
     ]
     for rep in reports:
         assert rep.passed, (rep.name, rep.max_residual)
+
+
+def test_linearization_residual_is_the_commuting_square(ball_spec, ball_samples):
+    # the check's chart: 3 alphas x 3 betas, each flowed over 3 fractions
+    worst = 0.0
+    for m in ball_samples:
+        p = phase(ball_spec, m)
+        betas = [np.zeros(2), np.full(2, 0.3), np.array([0.7, 0.2])]
+        chart = [(al, be, torus_embed(ball_spec, p, al, be))
+                 for al in (0.0, 1.0 / 3.0, 2.0 / 3.0) for be in betas]
+        res = conjugacy_residuals(ball_spec, p, chart, (0.15, 0.45, 0.75))
+        assert res.shape == (9, 3)
+        worst = max(worst, float(res.max()))
+    rep = check_linearization(ball_spec, ball_samples, 1e-6)
+    assert rep.max_residual == worst
 
 
 def test_checks_pass_near_relative_equilibrium(rigid_spec):
