@@ -192,7 +192,7 @@ def cmd_torus(resolved: dict, grid: int) -> int:
     ]
     residuals = conjugacy_residuals(spec, p, points, [TORUS_PROBE])[:, 0]
     rows = (
-        [alpha, *beta, *spec.pack(x), resid]
+        [alpha, *beta, *x.y, resid]
         for (alpha, beta, x), resid in zip(points, residuals)
     )
     meta = (f"torus rank: {rank + 1}", f"flow probe fraction: {_fmt(TORUS_PROBE)}")
@@ -353,8 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override sampling.seed")
     common.add_argument("--out", default=None, metavar="DIR",
                         help="override output.dir")
-    common.add_argument("--strict", action="store_true",
-                        help="treat inconclusive checks as failures")
 
     parser = argparse.ArgumentParser(
         prog="reconphase",
@@ -380,6 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run named invariance checks")
     p.add_argument("--checks", default="all", metavar="LIST",
                    help="comma-separated check names, 'all', or '' for none")
+    p.add_argument("--strict", action="store_true",
+                   help="treat inconclusive checks as failures")
 
     p = sub.add_parser("sweep", parents=[common],
                        help="phase data along a one-parameter family")

@@ -45,8 +45,13 @@ Rigid body
 State (Q, Omega): attitude (body-to-space) and body angular velocity.
 Euler's equations  Omega' = I^-1 (I Omega x Omega),  Q' = Q hat(Omega).
 Symmetry SO(3) acting on the left (spatial rotations): Q -> R Q.
-Packing note: ``PhasePoint`` reuses the ball fields — Omega is stored as
-(a_dot[0], a_dot[1], w) and ``a`` is unused (zeros).
+
+Phase points
+------------
+A ``PhasePoint`` is the packed vector ``y`` the integrator marches, laid
+out as ``SystemSpec.state_columns()`` with the canonical unit quaternion
+of ``Q``; ``a``, ``a_dot`` and ``w`` read a ball point's ``y``, and
+``omega_body`` a rigid one's.
 
 Reduction
 ---------
@@ -95,6 +100,15 @@ RIGID = "rigid"
 # ---------------------------------------------------------------------------
 
 
+def _horner(coeffs, s):
+    """The polynomial with coefficients ``coeffs`` (lowest degree first)
+    at s."""
+    acc = 0.0
+    for cj in reversed(coeffs):
+        acc = acc * s + cj
+    return acc
+
+
 @dataclass(frozen=True)
 class SurfaceProfile:
     """Surface of revolution traced by the ball's center: z = f(r^2) with
@@ -126,22 +140,13 @@ class SurfaceProfile:
         )
 
     def f(self, s: float) -> float:
-        acc = 0.0
-        for cj in reversed(self.coeffs):
-            acc = acc * s + cj
-        return acc
+        return _horner(self.coeffs, s)
 
     def fp(self, s: float) -> float:
-        acc = 0.0
-        for cj in reversed(self._dc):
-            acc = acc * s + cj
-        return acc
+        return _horner(self._dc, s)
 
     def fpp(self, s: float) -> float:
-        acc = 0.0
-        for cj in reversed(self._ddc):
-            acc = acc * s + cj
-        return acc
+        return _horner(self._ddc, s)
 
     def height_convexity(self, r: float) -> float:
         """d^2 z / d r^2 of the height z(r) = f(r^2)."""
@@ -156,37 +161,42 @@ class SurfaceProfile:
 
 @dataclass(frozen=True)
 class PhasePoint:
-    """Full state of either system; see the module docstring for the
-    rigid-body packing of Omega into (a_dot, w)."""
+    """Full state of either system as its read-only packed vector ``y``
+    (see the module docstring).  ``Q`` defaults to the rotation of y's
+    quaternion slot, which must be a canonical unit quaternion."""
 
-    a: np.ndarray
-    a_dot: np.ndarray
-    Q: Rotation
-    w: float
+    y: np.ndarray
     system: "SystemSpec"
+    Q: Rotation = field(default=None, kw_only=True, repr=False)
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        ad = np.asarray(self.a_dot, dtype=float)
-        if a.shape != (2,) or ad.shape != (2,):
-            raise ValueError("a and a_dot must be 2-vectors")
-        if self.system.kind == BALL and float(a @ a + ad @ ad) == 0.0:
+        spec = self.system
+        y = np.array(self.y, dtype=float)
+        if y.shape != (spec.nstate,):
+            raise ValueError(f"a {spec.kind} state has shape ({spec.nstate},)")
+        values = y.tolist()
+        if spec.kind == BALL and not any(values[0:4]):
             raise ValueError("(a, a_dot) = 0 is outside the phase space")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "a_dot", ad)
-        object.__setattr__(self, "w", float(self.w))
+        y.flags.writeable = False
+        qs = spec.quat_slice
+        Q = self.Q if self.Q is not None else Rotation(y[qs], normalize=False)
+        if Q.q.tolist() != values[qs]:
+            raise ValueError("Q must be the canonical rotation of y's quaternion slot")
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "Q", Q)
         # phase results of this point by resolved settings (verify's
         # base-phase memo); not a field, so eq, repr and pack ignore it
         object.__setattr__(self, "_phases", {})
-        a.flags.writeable = False
-        ad.flags.writeable = False
 
-    @property
-    def omega_body(self) -> np.ndarray:
-        """Rigid body only: the packed body angular velocity."""
-        if self.system.kind != RIGID:
-            raise ValueError("omega_body is a rigid-body accessor")
-        return np.array([self.a_dot[0], self.a_dot[1], self.w])
+    def _slot(self, kind: str, name: str, index):
+        if self.system.kind != kind:
+            raise ValueError(f"{name} is a {kind} accessor")
+        return self.y[index]
+
+    a = property(lambda m: m._slot(BALL, "a", slice(0, 2)))
+    a_dot = property(lambda m: m._slot(BALL, "a_dot", slice(2, 4)))
+    w = property(lambda m: float(m._slot(BALL, "w", 8)))
+    omega_body = property(lambda m: m._slot(RIGID, "omega_body", slice(4, 7)))
 
 
 @dataclass(frozen=True)
@@ -223,13 +233,14 @@ class IntegrationDefaults:
         return replace(self, **changes) if changes else self
 
 
-def _rolling_omega(n, vc, w):
-    """Ball angular velocity solved from the rolling constraint,
-    omega = n x v_c + w n."""
+def _quat_rate(qw, qx, qy, qz, r1, r2, r3):
+    """Rows of dq/dt = q (0, r) / 2 for the attitude quaternion q and its
+    body-frame angular rate r."""
     return (
-        n[1] * vc[2] - n[2] * vc[1] + w * n[0],
-        n[2] * vc[0] - n[0] * vc[2] + w * n[1],
-        n[0] * vc[1] - n[1] * vc[0] + w * n[2],
+        0.5 * (-qx * r1 - qy * r2 - qz * r3),
+        0.5 * (qw * r1 + qy * r3 - qz * r2),
+        0.5 * (qw * r2 + qz * r1 - qx * r3),
+        0.5 * (qw * r3 + qx * r2 - qy * r1),
     )
 
 
@@ -249,19 +260,19 @@ class SystemSpec:
 
     # -- packing -------------------------------------------------------
     def pack(self, m: PhasePoint) -> np.ndarray:
+        """A writable copy of the point's packed vector."""
         if m.system is not self:
             raise ValueError("phase point belongs to a different system")
-        if self.kind == BALL:
-            return np.concatenate([m.a, m.a_dot, m.Q.q, [m.w]])
-        return np.concatenate([m.Q.q, m.omega_body])
+        return m.y.copy()
 
     def unpack(self, y: np.ndarray) -> PhasePoint:
-        y = np.asarray(y, dtype=float)
-        if self.kind == BALL:
-            return PhasePoint(y[0:2], y[2:4], Rotation(y[4:8]), y[8], self)
-        return PhasePoint(
-            np.zeros(2), y[4:6], Rotation(y[0:4]), y[6], self
-        )
+        """The point of a packed state with its quaternion normalised.  The
+        norm is taken on a contiguous copy, so the result does not depend
+        on the strides of ``y`` (a column of a batch reads as itself)."""
+        y = np.array(y, dtype=float)
+        Q = Rotation(y[self.quat_slice])
+        y[self.quat_slice] = Q.q
+        return PhasePoint(y, self, Q=Q)
 
     @property
     def quat_slice(self) -> slice:
@@ -269,15 +280,13 @@ class SystemSpec:
 
     # -- pointwise evaluators (packed form) -----------------------------
     def _domain_tests(self, y):
-        """Ball only: (s, center inside the annulus, (a, a_dot) away from 0)
-        for a state, or rows of them for states given as columns."""
+        """Ball only: (s, center inside the annulus, |(a, a_dot)|^2 finite
+        and away from 0) for a state, or rows of them for states given as
+        columns."""
         s = y[0] * y[0] + y[1] * y[1]
+        e = s + y[2] * y[2] + y[3] * y[3]
         rmin, rmax = self.annulus
-        return (
-            s,
-            (rmin * rmin <= s) & (s <= rmax * rmax),
-            s + y[2] * y[2] + y[3] * y[3] >= 1e-16,
-        )
+        return s, (rmin * rmin <= s) & (s <= rmax * rmax), (e >= 1e-16) & (e < math.inf)
 
     def domain_check(self, y: np.ndarray, t: float = 0.0):
         if self.kind == BALL:
@@ -294,16 +303,18 @@ class SystemSpec:
                 ad = (float(y[2]), float(y[3]))
                 what = (
                     "(a, a_dot) collapsed to 0"
-                    if all(map(math.isfinite, ad))
+                    if s + ad[0] * ad[0] + ad[1] * ad[1] < 1e-16
                     else f"velocity a_dot = ({ad[0]:.6g}, {ad[1]:.6g}) is not finite"
                 )
                 raise DomainError(what, last_state=np.array(y), t=t)
 
-    def _ball_geometry(self, a1, a2, ad1, ad2, sqrt=math.sqrt):
+    def _ball_geometry(self, a1, a2, ad1, ad2, w, sqrt=math.sqrt):
+        """(s, n, dn/dt, v_c, omega) of the ball state (a, a_dot, w), with
+        omega solved from the rolling constraint, omega = n x v_c + w n."""
         pr = self.profile
         s = a1 * a1 + a2 * a2
-        fp = pr.fp(s)
-        fpp = pr.fpp(s)
+        fp = _horner(pr._dc, s)
+        fpp = _horner(pr._ddc, s)
         g1 = 2.0 * fp * a1
         g2 = 2.0 * fp * a2
         N2 = 1.0 + g1 * g1 + g2 * g2
@@ -319,7 +330,12 @@ class SystemSpec:
             -n[2] * gdg / N2,
         )
         vc = (ad1, ad2, g1 * ad1 + g2 * ad2)
-        return s, g1, g2, n, nd, vc
+        om = (
+            n[1] * vc[2] - n[2] * vc[1] + w * n[0],
+            n[2] * vc[0] - n[0] * vc[2] + w * n[1],
+            n[0] * vc[1] - n[1] * vc[0] + w * n[2],
+        )
+        return s, n, nd, vc, om
 
     def _ball_rates(self, y, sqrt=math.sqrt):
         """Core ball dynamics: returns (addot1, addot2, wdot, mu) where mu
@@ -327,9 +343,8 @@ class SystemSpec:
         ``np.sqrt`` when y holds states as columns; every other operation
         is elementwise, so each column gets the scalar call's bits."""
         pr = self.profile
-        a1, a2, ad1, ad2 = y[0], y[1], y[2], y[3]
-        w = y[8]
-        s, g1, g2, n, nd, vc = self._ball_geometry(a1, a2, ad1, ad2, sqrt)
+        a1, a2, ad1, ad2, w = y[0], y[1], y[2], y[3], y[8]
+        s, n, nd, vc, om = self._ball_geometry(a1, a2, ad1, ad2, w, sqrt)
         k = pr.inertia_ratio
         grav = pr.gravity
         vdn = vc[0] * nd[0] + vc[1] * nd[1] + vc[2] * nd[2]
@@ -351,7 +366,6 @@ class SystemSpec:
             + n[2] * (vc[0] * nd[1] - vc[1] * nd[0])
         )
         # attitude rate in the corotating chart
-        om = _rolling_omega(n, vc, w)
         r = sqrt(s)
         e1 = (a1 / r, a2 / r)
         chidot = (a1 * ad2 - a2 * ad1) / s
@@ -367,34 +381,14 @@ class SystemSpec:
         included), for a state or for states given as columns."""
         if self.kind == BALL:
             vd1, vd2, wdot, mu = self._ball_rates(y, sqrt)
-            qw, qx, qy, qz = y[4], y[5], y[6], y[7]
-            m1, m2, m3 = mu
-            return [
-                y[2],
-                y[3],
-                vd1,
-                vd2,
-                0.5 * (-qx * m1 - qy * m2 - qz * m3),
-                0.5 * (qw * m1 + qy * m3 - qz * m2),
-                0.5 * (qw * m2 + qz * m1 - qx * m3),
-                0.5 * (qw * m3 + qx * m2 - qy * m1),
-                wdot,
-            ]
-        # rigid body
-        qw, qx, qy, qz = y[0], y[1], y[2], y[3]
+            return [y[2], y[3], vd1, vd2, *_quat_rate(y[4], y[5], y[6], y[7], *mu), wdot]
         o1, o2, o3 = y[4], y[5], y[6]
         I1, I2, I3 = self.inertia.tolist()
-        od1 = (I2 - I3) * o2 * o3 / I1
-        od2 = (I3 - I1) * o3 * o1 / I2
-        od3 = (I1 - I2) * o1 * o2 / I3
         return [
-            0.5 * (-qx * o1 - qy * o2 - qz * o3),
-            0.5 * (qw * o1 + qy * o3 - qz * o2),
-            0.5 * (qw * o2 + qz * o1 - qx * o3),
-            0.5 * (qw * o3 + qx * o2 - qy * o1),
-            od1,
-            od2,
-            od3,
+            *_quat_rate(y[0], y[1], y[2], y[3], o1, o2, o3),
+            (I2 - I3) * o2 * o3 / I1,
+            (I3 - I1) * o3 * o1 / I2,
+            (I1 - I2) * o1 * o2 / I3,
         ]
 
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
@@ -455,10 +449,7 @@ class SystemSpec:
     def energy_y(self, y: np.ndarray) -> float:
         if self.kind == BALL:
             pr = self.profile
-            a1, a2, ad1, ad2 = y[0], y[1], y[2], y[3]
-            w = y[8]
-            s, g1, g2, n, nd, vc = self._ball_geometry(a1, a2, ad1, ad2)
-            om = _rolling_omega(n, vc, w)
+            s, _, _, vc, om = self._ball_geometry(*y[0:4], y[8])
             v2 = vc[0] ** 2 + vc[1] ** 2 + vc[2] ** 2
             o2 = om[0] ** 2 + om[1] ** 2 + om[2] ** 2
             return pr.mass * (
@@ -472,10 +463,7 @@ class SystemSpec:
         reconstructed from the state (ball only)."""
         if self.kind != BALL:
             raise ValueError("rolling residual is defined for the ball system")
-        a1, a2, ad1, ad2 = y[0], y[1], y[2], y[3]
-        w = y[8]
-        _, _, _, n, _, vc = self._ball_geometry(a1, a2, ad1, ad2)
-        om = _rolling_omega(n, vc, w)
+        _, n, _, vc, om = self._ball_geometry(*y[0:4], y[8])
         # contact velocity = v_c - omega x n  (contact offset is -n)
         res = (
             vc[0] - (om[1] * n[2] - om[2] * n[1]),
@@ -496,9 +484,7 @@ class SystemSpec:
         return ("energy", "momentum_norm")
 
     def invariants_y(self, y: np.ndarray):
-        if self.kind == BALL:
-            return (self.energy_y(y), self.rolling_residual_y(y))
-        return (self.energy_y(y), self.momentum_norm_y(y))
+        return tuple(getattr(self, f"{name}_y")(y) for name in self.invariant_names())
 
     def state_columns(self):
         if self.kind == BALL:
@@ -511,9 +497,15 @@ class SystemSpec:
 # ---------------------------------------------------------------------------
 
 
-def _rot2(theta: float, v: np.ndarray) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([c * v[0] - s * v[1], s * v[0] + c * v[1]])
+def _turned(spec: SystemSpec, theta: float, v) -> np.ndarray:
+    """A copy of the state or tangent vector v, with the ball's planar
+    blocks v[0:2] and v[2:4] turned by the circle angle theta."""
+    v = np.array(v, dtype=float)
+    if spec.kind == BALL:
+        c, s = math.cos(theta), math.sin(theta)
+        v[0:4] = (c * v[0] - s * v[1], s * v[0] + c * v[1],
+                  c * v[2] - s * v[3], s * v[2] + c * v[3])
+    return v
 
 
 def act(g: GroupElement, m: PhasePoint) -> PhasePoint:
@@ -524,39 +516,29 @@ def act(g: GroupElement, m: PhasePoint) -> PhasePoint:
         raise ValueError(
             f"group tag {g.group!r} does not match the system's {spec.group!r}"
         )
-    if spec.kind == BALL:
-        return PhasePoint(
-            _rot2(g.theta, m.a), _rot2(g.theta, m.a_dot), g.rot @ m.Q, m.w, spec
-        )
-    return PhasePoint(m.a, m.a_dot, g.rot @ m.Q, m.w, spec)
+    Q = g.rot @ m.Q
+    y = _turned(spec, g.theta, m.y)
+    y[spec.quat_slice] = Q.q
+    return PhasePoint(y, spec, Q=Q)
 
 
 def vector_field(m: PhasePoint) -> np.ndarray:
     """Tangent vector at m: ball 8-vector (da, da_dot, mu, dw) with mu the
     body-frame attitude rate; rigid 6-vector (Omega, Omega_dot)."""
     spec = m.system
-    y = spec.pack(m)
+    y = m.y
     if spec.kind == BALL:
         spec.domain_check(y)
         vd1, vd2, wdot, mu = spec._ball_rates(y)
-        return np.array(
-            [m.a_dot[0], m.a_dot[1], vd1, vd2, mu[0], mu[1], mu[2], wdot]
-        )
-    yd = spec.rhs(0.0, y)
-    om = m.omega_body
-    return np.array([om[0], om[1], om[2], yd[4], yd[5], yd[6]])
+        return np.array([y[2], y[3], vd1, vd2, *mu, wdot])
+    return np.concatenate([y[4:7], spec.rhs(0.0, y)[4:7]])
 
 
 def d_act(g: GroupElement, m: PhasePoint, v: np.ndarray) -> np.ndarray:
     """Pushforward of the tangent vector v at m by the action of g, in the
-    same coordinates as vector_field."""
-    spec = m.system
-    if spec.kind == BALL:
-        da = _rot2(g.theta, v[0:2])
-        dad = _rot2(g.theta, v[2:4])
-        # Q -> R Q keeps the body-frame rate mu unchanged
-        return np.array([da[0], da[1], dad[0], dad[1], v[4], v[5], v[6], v[7]])
-    return np.array(v, dtype=float)
+    same coordinates as vector_field.  Q -> R Q keeps the ball's
+    body-frame rate mu and the rigid body's (Omega, Omega_dot)."""
+    return _turned(m.system, g.theta, v)
 
 
 def state_distance(m1: PhasePoint, m2: PhasePoint) -> float:
@@ -564,15 +546,16 @@ def state_distance(m1: PhasePoint, m2: PhasePoint) -> float:
     the Euclidean block distances and the rotation geodesic angle."""
     if m1.system is not m2.system:
         raise ValueError("points belong to different systems")
+    d = m1.y - m2.y
     dq = m1.Q.distance(m2.Q)
     if m1.system.kind == BALL:
         return max(
-            float(np.linalg.norm(m1.a - m2.a)),
-            float(np.linalg.norm(m1.a_dot - m2.a_dot)),
+            float(np.linalg.norm(d[0:2])),
+            float(np.linalg.norm(d[2:4])),
             dq,
-            abs(m1.w - m2.w),
+            abs(float(d[8])),
         )
-    return max(dq, float(np.linalg.norm(m1.omega_body - m2.omega_body)))
+    return max(dq, float(np.linalg.norm(d[4:7])))
 
 
 # ---------------------------------------------------------------------------
@@ -627,12 +610,12 @@ def make_rigid_body(
 def ball_point(spec: SystemSpec, a, a_dot, Q: Rotation = None, w: float = 0.0) -> PhasePoint:
     if spec.kind != BALL:
         raise ValueError("spec is not a ball system")
-    return PhasePoint(np.asarray(a, float), np.asarray(a_dot, float),
-                      Q if Q is not None else Rotation.identity(), w, spec)
+    Q = Q if Q is not None else Rotation.identity()
+    y = np.concatenate([np.reshape(a, 2), np.reshape(a_dot, 2), Q.q, [w]])
+    return PhasePoint(y, spec, Q=Q)
 
 
 def rigid_point(spec: SystemSpec, Q: Rotation, omega) -> PhasePoint:
     if spec.kind != RIGID:
         raise ValueError("spec is not a rigid body")
-    om = np.asarray(omega, dtype=float)
-    return PhasePoint(np.zeros(2), om[0:2], Q, float(om[2]), spec)
+    return PhasePoint(np.concatenate([Q.q, np.asarray(omega, dtype=float)]), spec, Q=Q)

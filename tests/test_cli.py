@@ -391,6 +391,19 @@ def test_strict_turns_inconclusive_into_failure(tmp_path, monkeypatch):
     assert doc["strict"] is True and doc["all_passed"] is False
 
 
+@pytest.mark.parametrize("command", [
+    ["simulate", "--t-end", "1"], ["phase"], ["torus"],
+    ["sweep", "--param", "w", "--values", "0,1"],
+], ids=lambda command: command[0])
+def test_strict_is_a_verify_option_only(tmp_path, capsys, command):
+    config = write_config(tmp_path, BALL_CONFIG)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command, "--config", config, "--out", str(tmp_path), "--strict"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --strict" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
 def test_sweep_csv_content(tmp_path):
     config = write_config(tmp_path, BALL_CONFIG)
     code = run_cli("sweep", "--config", config, "--param", "w",

@@ -108,8 +108,47 @@ def test_rigid_body_validation():
 
 
 def test_ball_point_excludes_origin(ball):
-    with pytest.raises(ValueError):
-        PhasePoint(np.zeros(2), np.zeros(2), Rotation.identity(), 0.3, ball)
+    with pytest.raises(ValueError, match="outside the phase space"):
+        PhasePoint(np.array([0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.3]), ball)
+    with pytest.raises(ValueError, match="outside the phase space"):
+        ball_point(ball, np.zeros(2), np.zeros(2), Rotation.identity(), 0.3)
+
+
+def test_phase_point_is_its_packed_vector(ball, rigid):
+    Q = Rotation([0.5, -0.5, 0.5, 0.5])
+    mb = ball_point(ball, (0.9, -0.2), (0.1, 0.35), Q, 0.4)
+    mr = rigid_point(rigid, Q, (0.3, -0.4, 0.5))
+    np.testing.assert_array_equal(mb.y, [0.9, -0.2, 0.1, 0.35, *Q.q, 0.4])
+    np.testing.assert_array_equal(mr.y, [*Q.q, 0.3, -0.4, 0.5])
+    for m, spec in ((mb, ball), (mr, rigid)):
+        assert m.Q is Q
+        assert not m.y.flags.writeable
+        y = spec.pack(m)
+        assert y.flags.writeable and np.array_equal(y, m.y)
+        # a bare vector builds its rotation from the quaternion slot
+        bare = PhasePoint(m.y, spec)
+        assert np.array_equal(bare.Q.q, Q.q) and state_distance(bare, m) == 0.0
+    assert (mb.a.tolist(), mb.a_dot.tolist(), mb.w) == ([0.9, -0.2], [0.1, 0.35], 0.4)
+    assert mr.omega_body.tolist() == [0.3, -0.4, 0.5]
+    for name in ("a", "a_dot", "w"):
+        with pytest.raises(ValueError, match="ball accessor"):
+            getattr(mr, name)
+    with pytest.raises(ValueError, match="rigid accessor"):
+        mb.omega_body
+
+
+def test_phase_point_rejects_a_bad_vector(ball, rigid):
+    y = np.array([0.9, -0.2, 0.1, 0.35, 1.0, 0.0, 0.0, 0.0, 0.4])
+    with pytest.raises(ValueError, match="shape"):
+        PhasePoint(y[:7], ball)
+    with pytest.raises(ValueError, match="unit length"):
+        PhasePoint(np.array([*y[:4], 2.0, 0.0, 0.0, 0.0, 0.4]), ball)
+    with pytest.raises(ValueError, match="canonical"):
+        PhasePoint(np.array([*y[:4], -1.0, 0.0, 0.0, 0.0, 0.4]), ball)
+    with pytest.raises(ValueError, match="canonical"):
+        PhasePoint(y, ball, Q=Rotation.from_axis_angle(E3, 0.1))
+    with pytest.raises(ValueError, match="shape"):
+        rigid_point(rigid, Rotation.identity(), (0.3, -0.4))
 
 
 def test_rigid_point_packing(rigid):
@@ -217,15 +256,16 @@ def test_rhs_columns_equal_scalar_calls_bitwise(ball, rigid):
     ys = np.column_stack(
         [ball.pack(random_ball_point(ball, rng)) for _ in range(n)]
         + [[3.0, 0.0, 0.0, 0.1, 1.0, 0.0, 0.0, 0.0, 0.0],
-           [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0]]
+           [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
+           [0.5, 0.0, np.inf, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0]]
     )
     fs, outside = ball.rhs_columns(ys)
-    assert outside.tolist() == [False] * n + [True, True]
+    assert outside.tolist() == [False] * n + [True, True, True]
     for j in range(n):
         f = ball.rhs(0.0, ys[:, j])
         assert np.array_equal(f, fs[:, j])
         assert np.array_equal(f, np.array(ball._derivative(ys[:, j], math.sqrt)))
-    for j in (n, n + 1):
+    for j in (n, n + 1, n + 2):
         with pytest.raises(DomainError):
             ball.rhs(0.0, ys[:, j])
     ys = rng.normal(size=(7, n))
@@ -250,6 +290,8 @@ def test_rhs_columns_equal_scalar_calls_bitwise(ball, rigid):
      "center radius nan left the annulus [0.2, 2.5]"),
     ([0.5, 0.0, np.nan, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0], (0.2, 2.5),
      "velocity a_dot = (nan, 0) is not finite"),
+    ([0.5, 0.0, np.inf, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0], (0.2, 2.5),
+     "velocity a_dot = (inf, 0) is not finite"),
 ])
 def test_rhs_domain_error_payload(ball, y, annulus, message):
     # the scalar call tests the domain on Python floats: its message,

@@ -26,6 +26,7 @@ from reconphase.dynsys import (
     state_distance,
 )
 from reconphase.errors import (
+    DomainError,
     IntegrationError,
     NotPeriodicError,
     PeriodNotFoundError,
@@ -114,6 +115,20 @@ def test_flow_rejects_bad_start(ball):
     m = ball_point(ball, (5.0, 0.0), (0.0, 0.1), Rotation.identity(), 0.0)
     with pytest.raises(IntegrationError):
         flow(ball, m, 1.0)
+
+
+@pytest.mark.parametrize("run", [lambda s, m: flow(s, m, 1.0), phase],
+                         ids=["flow", "phase"])
+def test_infinite_velocity_is_a_typed_domain_exit(ball, run):
+    m = ball_point(ball, (0.5, 0.0), (math.inf, 0.0))
+    # phase() forms the reduced speed of the start before the marcher
+    # tests the domain, which is arithmetic on inf
+    with np.errstate(invalid="ignore"), pytest.raises(
+        IntegrationError, match="initial state outside the domain"
+    ) as exc:
+        run(ball, m)
+    assert isinstance(exc.value.__cause__, DomainError)
+    assert str(exc.value.__cause__) == "velocity a_dot = (inf, 0) is not finite"
 
 
 @pytest.mark.parametrize("kind", ["ball", "rigid"])
@@ -369,6 +384,21 @@ def test_period_is_group_invariant(ball, mball):
 def test_period_rejects_reduced_equilibrium(rigid):
     m = rigid_point(rigid, Rotation.identity(), (0.8, 0.0, 0.0))
     with pytest.raises(PeriodNotFoundError):
+        find_reduced_period(rigid, m)
+
+
+def test_near_separatrix_rigid_orbits_end_quickly(rigid, monkeypatch):
+    # long period close to the separatrix, but no grind on to t_max
+    m = rigid_point(rigid, Rotation.identity(), (1e-3, 1.0, 1e-3))
+    assert abs(find_reduced_period(rigid, m).tau - 55.061681108135716) < 1e-6
+    # closer still the reduced speed falls below the v_min gate, which
+    # answers before the integrator takes a step
+    def no_step(self, t, y):
+        raise AssertionError("the v_min gate let an integration start")
+
+    monkeypatch.setattr(SystemSpec, "rhs", no_step)
+    m = rigid_point(rigid, Rotation.identity(), (1e-6, 1.0, 1e-6))
+    with pytest.raises(PeriodNotFoundError, match="below v_min"):
         find_reduced_period(rigid, m)
 
 

@@ -25,8 +25,10 @@ from reconphase.liegroup import (
     projective_distance,
     torus_coords,
 )
+from reconphase.cli import TORUS_PROBE
 from reconphase.reconstruct import (
     PhaseResult,
+    conjugacy_residuals,
     delta,
     delta_from_axis,
     flower_frame,
@@ -501,3 +503,25 @@ def test_phase_result_to_dict_round_trips_through_json(ball):
     assert len(blob["frequencies"]) == 3
     assert blob["frequencies"][0] == 1.0 / p.tau
     assert set(blob["residuals"]) == {"closure", "defining", "section_iterations"}
+
+
+@pytest.mark.parametrize("kind, grid", [("ball", 3), ("rigid", 5)])
+def test_conjugacy_residual_does_not_depend_on_its_batch(kind, grid):
+    # a chart point reads the same residual flowed alone as in the full
+    # grid, where its end state is a strided column of the batch
+    if kind == "ball":
+        spec = make_ball_system(SurfaceProfile((0.0, 0.5)))
+        m = ball_point(spec, a=(0.9, -0.2), a_dot=(0.1, 0.35), w=0.4)
+    else:
+        spec = make_rigid_body((1.0, 2.0, 3.0))
+        m = rigid_point(spec, Rotation.identity(), (1.0, 0.2, 0.3))
+    p = phase(spec, m)
+    ticks = [i / grid for i in range(grid)]
+    chart = [
+        (alpha, beta, torus_embed(spec, p, alpha, beta))
+        for alpha in ticks
+        for beta in map(np.array, itertools.product(ticks, repeat=p.eta.size))
+    ]
+    batch = conjugacy_residuals(spec, p, chart, [TORUS_PROBE])[:, 0]
+    alone = [conjugacy_residuals(spec, p, [pt], [TORUS_PROBE])[0, 0] for pt in chart]
+    assert batch.tolist() == alone
