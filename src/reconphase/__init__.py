@@ -12,10 +12,10 @@ The package is layered bottom-up:
     revolution and a free rigid body — with their symmetry actions,
     reductions and pointwise invariants.
 ``integrate``
-    Numerics only: DOP853 integration with quaternion renormalization
-    (dense output where a trajectory is kept), lockstep batches of
-    fixed-horizon flows over packed columns, and the reduced-period
-    section search.
+    Numerics only: one DOP853 rule with quaternion renormalization, run
+    on Python floats (dense output where a trajectory is kept) and in
+    lockstep batches over packed columns with the same bits, and the
+    reduced-period section search.
 ``reconstruct``
     The per-orbit reconstruction phase gamma with act(gamma, m) =
     flow(m, tau), torus coordinates eta, invariant-torus embeddings and

@@ -67,8 +67,8 @@ Evaluation
 ----------
 The dynamics formulas are written once (``SystemSpec._derivative``) and
 run on two number types.  ``SystemSpec.rhs``, the integrator's hot call,
-reads the state into Python floats once and evaluates on them, which
-costs about half of the same arithmetic on numpy scalars.
+evaluates them on the marcher's list of Python floats, which costs about
+half of the same arithmetic on numpy scalars.
 ``SystemSpec.rhs_columns`` evaluates the same formulas elementwise on
 states given as array columns.  The formulas use only ``+ - * /`` and
 ``sqrt``, which IEEE 754 rounds correctly on either type, so a Python
@@ -159,11 +159,12 @@ class SurfaceProfile:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhasePoint:
     """Full state of either system as its read-only packed vector ``y``
     (see the module docstring).  ``Q`` defaults to the rotation of y's
-    quaternion slot, which must be a canonical unit quaternion."""
+    quaternion slot, which must be a canonical unit quaternion.  Points
+    compare and hash by identity."""
 
     y: np.ndarray
     system: "SystemSpec"
@@ -185,7 +186,7 @@ class PhasePoint:
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "Q", Q)
         # phase results of this point by resolved settings (verify's
-        # base-phase memo); not a field, so eq, repr and pack ignore it
+        # base-phase memo); not a field, so repr and pack ignore it
         object.__setattr__(self, "_phases", {})
 
     def _slot(self, kind: str, name: str, index):
@@ -214,8 +215,8 @@ class IntegrationDefaults:
     v_min: float = 1e-5
 
     def __post_init__(self):
-        # DOP853 would raise a smaller rtol to this floor with only a
-        # warning, while every output echoes the value asked for
+        # error control cannot work below rounding (scipy raises a smaller
+        # rtol to this floor), while every output echoes the value asked for
         floor = 100 * np.finfo(float).eps
         if self.rtol < floor:
             raise ConfigError(
@@ -391,13 +392,14 @@ class SystemSpec:
             (I1 - I2) * o1 * o2 / I3,
         ]
 
-    def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
-        """Packed-state time derivative (quaternion slot included),
-        evaluated on Python floats (see the module docstring)."""
-        yl = y.tolist()
+    def rhs(self, t: float, y) -> list:
+        """Packed-state time derivative (quaternion slot included) of a
+        list of floats or an array, as a list of Python floats (see the
+        module docstring)."""
+        yl = y.tolist() if isinstance(y, np.ndarray) else y
         if self.kind == BALL:
             self.domain_check(yl, t)
-        return np.array(self._derivative(yl, math.sqrt))
+        return self._derivative(yl, math.sqrt)
 
     def rhs_columns(self, ys: np.ndarray):
         """``rhs`` on the states given as the columns of ``ys`` (nstate, n):

@@ -2,28 +2,28 @@
 trajectory's return time (the reduced period).  The module is numerics
 only: it writes no files (``cli`` owns the output formats).
 
-The attitude quaternion is renormalized after every accepted step.
-Callers that keep a trajectory (``flow_trajectory`` and the period
-search) also get each step's dense interpolant, blended toward the
-renormalized endpoint with a linear ramp: the correction is O(norm
-drift) per step, orders of magnitude below the interpolation error, and
-makes dense evaluation reproduce the stored node states exactly.
-``flow()`` reads only the end state, so it builds no interpolant; its
-steps, and so its result, are the same either way.
+One rule integrates: scipy's DOP853 (Hairer, Nørsett & Wanner, *Solving
+ODEs I*, §II.6: its tableau, first step, error norm and step factors)
+with every sum in one fixed order.  ``_Marcher`` runs it on one state
+of Python floats, one generated comprehension per tableau row, for
+``flow()``, ``flow_trajectory`` and the period search.  The attitude
+quaternion is renormalized after every accepted step.  Callers that
+keep a trajectory also get each step's dense interpolant (scipy's, from
+three extra stages) with a linear ramp to the renormalized endpoint:
+the correction is O(norm drift), far below the interpolation error, and
+makes dense evaluation reproduce the nodes to rounding.  ``flow()``
+builds no interpolant; its steps are the same either way.
 
 ``flow_many`` runs many fixed-horizon flows as one lockstep batch over
-packed columns (torchode, Lienen & Günnemann, arXiv:2210.12375): every
-column follows scipy's DOP853 rule (Hairer, Nørsett & Wanner, *Solving
-ODEs I*, §II.6) with its own step size, error norm and accept/reject
-decision, and a column that reaches its horizon or fails is compacted
-away.  The vector field is evaluated once per stage for all live
-columns (``SystemSpec.rhs_columns``).  Stage sums and norms run in one
-fixed order, never through a BLAS product across columns, so a column's
-result is bitwise the same whatever else shares its batch.  It agrees
-with ``flow()``, whose stage sums go through BLAS, to rounding.  Each
-numpy operation costs about as much as a scalar vector-field call, so
-the batch pays off only with several columns; a single flow stays on
-the scalar marcher.
+packed columns (torchode, Lienen & Günnemann, arXiv:2210.12375): each
+column with its own step size and accept/reject decision, compacted
+away once it finishes or fails.  The field is evaluated once per stage
+for all live columns (``SystemSpec.rhs_columns``) and every sum runs in
+the marcher's order, so a column ends on the bits of ``flow()`` from
+its start, whatever shares its batch.  A column takes its first step
+from a marcher, and the lowest failed column is re-run alone by the
+marcher, which raises ``flow()``'s error.  Each numpy operation costs
+about a scalar field call, so the batch pays only with several columns.
 
 Period detection marches the flow while watching the section function
 sigma(t) = <reduced(t) - reduced(0), v0_hat> (v0 = initial reduced
@@ -47,9 +47,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import DOP853
 from scipy.integrate._ivp import dop853_coefficients as _dop
-from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY
+from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY, Dop853DenseOutput
 from scipy.optimize import brentq
 
 from .dynsys import IntegrationDefaults, PhasePoint, SystemSpec
@@ -73,41 +72,105 @@ def _failure(spec: SystemSpec, what: str, y_last, t: float, cause=None):
     return error
 
 
-class _CountingDOP853(DOP853):
-    """DOP853 that counts rejected step attempts."""
-
-    n_rejected = 0
-
-    def _estimate_error_norm(self, K, h, scale):
-        norm = super()._estimate_error_norm(K, h, scale)
-        if norm >= 1.0:
-            self.n_rejected += 1
-        return norm
+def _start_state(spec: SystemSpec, y0) -> np.ndarray:
+    """A float copy of the packed start y0, once it passes the domain test."""
+    y0 = np.array(y0, dtype=float)
+    try:
+        spec.domain_check(y0)
+    except DomainError as e:
+        raise _failure(spec, "initial state outside the domain", y0, 0.0, e)
+    return y0
 
 
-class _Segment:
-    """One step's dense interpolant, endpoint-blended to the
-    renormalized node value."""
+def _terms(coefficients):
+    """The nonzero entries of a tableau row as (stage, coefficient)."""
+    return tuple((i, float(c)) for i, c in enumerate(coefficients) if c != 0.0)
 
-    __slots__ = ("dense", "delta", "t_old", "t_new")
 
-    def __init__(self, dense, delta):
-        self.dense = dense
-        self.delta = delta
-        self.t_old = dense.t_old
-        self.t_new = dense.t
+def _rows(rows, template):
+    """Per tableau row, a function ``(y, K, x)`` giving the list of
+    ``template`` over the rows ``v`` of y, with ``{acc}`` the row's sum
+    over the stages K in ``_combine``'s order.  Each is one comprehension
+    generated here: built term by term, the sums cost a list per term."""
+    made = []
+    for terms in rows:
+        ks = ", ".join(f"k{i}" for i, _ in terms)
+        stages = ", ".join(f"K[{i}]" for i, _ in terms)
+        acc = " + ".join(f"k{i} * {c!r}" for i, c in terms)
+        made.append(eval(f"lambda y, K, x: [{template.format(acc=acc)} "
+                         f"for v, {ks} in zip(y, {stages})]"))
+    return tuple(made)
 
-    def __call__(self, t):
-        """State at time t (nstate,), or at times t as columns (nstate, n)."""
-        span = self.t_new - self.t_old
-        x = (t - self.t_old) / span if span != 0.0 else np.zeros_like(t, float)
-        return self.dense(t) + np.multiply.outer(self.delta, x)
+
+# tableau rows 1-12 make a step (row 12 is B, the step's end state) and
+# rows 13-15 the dense output's extra stages; (c, row) with y = start, x = h
+_A_TERMS = tuple(_terms(_dop.A[s, :s]) for s in range(1, _dop.N_STAGES_EXTENDED))
+_STAGE_TERMS = _A_TERMS[:_dop.N_STAGES]
+_E5_TERMS = _terms(_dop.E5)
+_E3_TERMS = _terms(_dop.E3)
+_STAGES = tuple(zip(_dop.C[1:].tolist(), _rows(_A_TERMS, "v + ({acc}) * x")))
+_D_ROWS = _rows(map(_terms, _dop.D), "x * ({acc})")
+_E5_ROW, _E3_ROW = _rows((_E5_TERMS, _E3_TERMS), "({acc}) / v")  # y = scale
+# DOP853's error estimator is of order 7
+_ERROR_EXPONENT = -1.0 / 8.0
+
+
+def _combine(K, terms):
+    """sum_i c_i K[i] over ``terms`` in their fixed order."""
+    (i, c), *rest = terms
+    acc = K[i] * c
+    for i, c in rest:
+        acc += K[i] * c
+    return acc
+
+
+def _sumsq(x):
+    """Sum of squares over the rows (floats or array rows), in row order."""
+    acc = x[0] * x[0]
+    for row in x[1:]:
+        acc += row * row
+    return acc
+
+
+def _rms(x):
+    """RMS of a list of floats (scipy's ``norm``)."""
+    return math.sqrt(_sumsq(x)) / len(x) ** 0.5
+
+
+def _per_column(fn, *arrays):
+    """``fn`` on each column's Python floats, as the marcher computes it."""
+    return np.array([fn(*v) for v in zip(*(a.tolist() for a in arrays))])
+
+
+def _initial_step(d0, d1, d2, h0):
+    """scipy's ``select_initial_step`` from its norms."""
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        return max(1e-6, h0 * 1e-3)
+    return (0.01 / max(d1, d2)) ** -_ERROR_EXPONENT
+
+
+def _error_norm(e5, e3, h, n):
+    """scipy's error norm of a step h from its scaled error sums of squares."""
+    if e5 == 0.0 and e3 == 0.0:
+        return 0.0
+    return h * e5 / math.sqrt((e5 + 0.01 * e3) * n)
+
+
+def _step_factor(norm, retried):
+    """scipy's step-size factor after an attempt with error ``norm``; the
+    retry of a rejected step may not grow it."""
+    if norm < 1.0:
+        if norm == 0.0:
+            return MAX_FACTOR
+        factor = min(MAX_FACTOR, SAFETY * norm ** _ERROR_EXPONENT)
+        return min(1.0, factor) if retried else factor
+    return max(MIN_FACTOR, SAFETY * norm ** _ERROR_EXPONENT)
 
 
 @dataclass
 class Trajectory:
     """Dense solution of one forward integration.  Node states carry the
-    renormalized quaternion; dense evaluation reproduces them exactly."""
+    renormalized quaternion; dense evaluation reproduces them to rounding."""
 
     spec: SystemSpec
     times: list
@@ -153,59 +216,102 @@ class Trajectory:
 
 
 class _Marcher:
-    """Forward march of the packed ODE with per-step quaternion fixing;
-    with ``dense`` each step's interpolant is kept as a segment."""
+    """The DOP853 rule on one packed state of Python floats from time 0
+    to ``t_bound``, fixing the quaternion after each step.  ``sign = -1``
+    marches the negated field; with ``dense`` (forward only) each step's
+    interpolant is kept.  ``_lockstep`` starts a column from ``f`` and
+    ``h_abs``, the start's field and first step size."""
 
-    def __init__(self, spec: SystemSpec, y0, t_bound, rtol, atol, rhs=None,
+    def __init__(self, spec: SystemSpec, y0, t_bound, rtol, atol, sign=1.0,
                  dense=False):
-        y0 = np.asarray(y0, dtype=float)
-        try:
-            spec.domain_check(y0)
-        except DomainError as e:
-            raise _failure(spec, "initial state outside the domain", y0, 0.0, e)
-        self.spec = spec
-        self.dense = dense
-        self.traj = Trajectory(spec, [0.0], [np.array(y0)], [])
-        self.qs = spec.quat_slice
-        self.finished = t_bound == 0.0
+        y0 = _start_state(spec, y0)
+        self.spec, self.t_bound = spec, float(t_bound)
+        self.rtol, self.atol, self.sign, self.dense = rtol, atol, sign, dense
+        self.traj = Trajectory(spec, [0.0], [y0], [])
+        self.t, self.y = 0.0, y0.tolist()
+        self.finished = self.t_bound == 0.0
         if not self.finished:
             try:
-                self.solver = _CountingDOP853(
-                    rhs or spec.rhs, 0.0, y0, t_bound=t_bound, rtol=rtol, atol=atol
-                )
+                self.f = self._eval(0.0, self.y)
+                self.h_abs = self._first_step()
             except DomainError as e:
                 raise _failure(spec, "domain exit at start", y0, 0.0, e)
 
+    def _eval(self, t, y):
+        self.traj.n_rhs_evals += 1
+        return self.spec.rhs(t, y)
+
+    def _first_step(self):
+        """scipy's ``select_initial_step``."""
+        y, f, t_bound = self.y, self.f, self.t_bound
+        scale = [self.atol + abs(v) * self.rtol for v in y]
+        d0 = _rms([v / s for v, s in zip(y, scale)])
+        d1 = _rms([v / s for v, s in zip(f, scale)])
+        h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_bound)
+        f1 = self._eval(h0, [v + h0 * self.sign * g for v, g in zip(y, f)])
+        d2 = _rms([(a - b) / s for a, b, s in zip(f1, f, scale)]) / h0
+        return min(100 * h0, _initial_step(d0, d1, d2, h0), t_bound)
+
     def step(self):
-        """Advance one accepted step; returns its segment when dense
+        """Advance one accepted step; returns its interpolant when dense
         output is kept, else None."""
-        traj = self.traj
+        spec, traj, t, y = self.spec, self.traj, self.t, self.y
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+        h_abs, retried = max(self.h_abs, min_step), False
         try:
-            msg = self.solver.step()
+            while True:
+                if h_abs < min_step:
+                    raise _failure(spec, "step-size underflow: Required step size "
+                                   "is less than spacing between numbers.",
+                                   traj.states[-1], t)
+                t_new = min(t + h_abs, self.t_bound)
+                h = t_new - t
+                K = [self.f]
+                for c, row in _STAGES[:_dop.N_STAGES]:
+                    y_new = row(y, K, h * self.sign)
+                    K.append(self._eval(t + c * h, y_new))
+                scale = [self.atol + max(abs(a), abs(b)) * self.rtol
+                         for a, b in zip(y, y_new)]
+                norm = _error_norm(_sumsq(_E5_ROW(scale, K, None)),
+                                   _sumsq(_E3_ROW(scale, K, None)), h, spec.nstate)
+                h_abs = h * _step_factor(norm, retried)
+                if norm < 1.0:
+                    break
+                retried = True
+                traj.n_rejected += 1
+            y_fix = list(y_new)
+            q = y_fix[spec.quat_slice]
+            n = math.sqrt(_sumsq(q))
+            y_fix[spec.quat_slice] = [v / n for v in q]
+            dense = self._interpolant(K, y_new, y_fix, t_new) if self.dense else None
+            # continue the march from the renormalized state
+            self.f = self._eval(t_new, y_fix)
         except DomainError as e:
-            raise _failure(self.spec, "trajectory left the domain",
-                           traj.states[-1], traj.times[-1], e)
-        if self.solver.status == "failed":
-            raise _failure(self.spec, f"step-size underflow: {msg}",
-                           traj.states[-1], traj.times[-1])
-        y_new = np.array(self.solver.y)
-        y_fix = np.array(y_new)
-        q = y_fix[self.qs]
-        y_fix[self.qs] = q / math.sqrt(float(q @ q))
-        seg = None
-        if self.dense:
-            seg = _Segment(self.solver.dense_output(), y_fix - y_new)
-            traj.segments.append(seg)
-        # continue the march from the renormalized state
-        self.solver.y[...] = y_fix
-        self.solver.f = self.solver.fun(self.solver.t, self.solver.y)
-        traj.times.append(self.solver.t)
-        traj.states.append(y_fix)
+            raise _failure(spec, "trajectory left the domain", traj.states[-1], t, e)
+        self.t, self.y, self.h_abs = t_new, y_fix, h_abs
+        traj.times.append(t_new)
+        traj.states.append(np.array(y_fix))
         traj.n_accepted += 1
-        traj.n_rejected = self.solver.n_rejected
-        traj.n_rhs_evals = self.solver.nfev
-        self.finished = self.solver.status == "finished"
-        return seg
+        self.finished = t_new >= self.t_bound
+        return dense
+
+    def _interpolant(self, K, y_new, y_fix, t_new):
+        """The interpolant of the step from ``self.y`` to ``y_new`` at
+        ``t_new``, built as scipy's ``_dense_output_impl`` builds it, with
+        the linear ramp to the renormalized ``y_fix`` added to its x term;
+        kept as a segment."""
+        t, y = self.t, self.y
+        h = t_new - t
+        for c, row in _STAGES[_dop.N_STAGES:]:
+            K.append(self._eval(t + c * h, row(y, K, h)))
+        dy = [b - a for a, b in zip(y, y_new)]
+        F = [[b - a for a, b in zip(y, y_fix)],
+             [h * f - d for f, d in zip(K[0], dy)],
+             [2 * d - h * (g + f) for d, g, f in zip(dy, K[_dop.N_STAGES], K[0])],
+             *(row(y, K, h) for row in _D_ROWS)]
+        dense = Dop853DenseOutput(t, t_new, np.array(y), np.array(F))
+        self.traj.segments.append(dense)
+        return dense
 
     def run(self) -> Trajectory:
         while not self.finished:
@@ -232,9 +338,7 @@ def flow(spec: SystemSpec, m: PhasePoint, t: float, rtol=None, atol=None) -> Pha
     if t == 0.0:
         return m
     s = spec.defaults.override(rtol=rtol, atol=atol)
-    # backward flow = forward flow of the negated field
-    rhs = None if t > 0.0 else lambda tt, y: -spec.rhs(tt, y)
-    traj = _Marcher(spec, spec.pack(m), abs(t), s.rtol, s.atol, rhs=rhs).run()
+    traj = _Marcher(spec, m.y, abs(t), s.rtol, s.atol, math.copysign(1.0, t)).run()
     return spec.unpack(traj.states[-1])
 
 
@@ -243,141 +347,56 @@ def flow(spec: SystemSpec, m: PhasePoint, t: float, rtol=None, atol=None) -> Pha
 # ---------------------------------------------------------------------------
 
 
-def _terms(coefficients):
-    """The nonzero entries of a tableau row as (stage, coefficient)."""
-    return tuple((i, float(c)) for i, c in enumerate(coefficients) if c != 0.0)
-
-
-# each stage's tableau row, the last one (B) giving the step's end state
-_STAGE_TERMS = tuple(
-    _terms(_dop.A[s, :s]) for s in range(1, _dop.N_STAGES)
-) + (_terms(_dop.B),)
-_E5_TERMS = _terms(_dop.E5)
-_E3_TERMS = _terms(_dop.E3)
-_ERROR_EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
-
-
-def _combine(K, terms):
-    """sum_i c_i K[i] over ``terms`` in their fixed order."""
-    (i, c), *rest = terms
-    acc = K[i] * c
-    for i, c in rest:
-        acc += K[i] * c
-    return acc
-
-
-def _sumsq(x):
-    """Per-column sum of squares over the rows, in row order."""
-    acc = x[0] * x[0]
-    for row in x[1:]:
-        acc += row * row
-    return acc
-
-
-def _rms(x):
-    """Per-column RMS over the rows (scipy's ``norm``)."""
-    return np.sqrt(_sumsq(x)) / len(x) ** 0.5
-
-
-def _per_column(fn, *arrays):
-    """``fn`` on each column's Python floats: a power's bits then never
-    depend on how numpy vectorises the array around it."""
-    return np.array([fn(*v) for v in zip(*(a.tolist() for a in arrays))])
-
-
-def _initial_step(d0, d1, d2, h0):
-    """scipy's ``select_initial_step`` from its norms, for one column."""
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        return max(1e-6, h0 * 1e-3)
-    return (0.01 / max(d1, d2)) ** -_ERROR_EXPONENT
-
-
-def _step_factor(norm, retried):
-    """scipy's step-size factor after an attempt with error ``norm``; the
-    retry of a rejected step may not grow it."""
-    if norm < 1.0:
-        if norm == 0.0:
-            return MAX_FACTOR
-        factor = min(MAX_FACTOR, SAFETY * norm ** _ERROR_EXPONENT)
-        return min(1.0, factor) if retried else factor
-    return max(MIN_FACTOR, SAFETY * norm ** _ERROR_EXPONENT)
-
-
 def _lockstep(spec: SystemSpec, ys, ts, rtol, atol):
     """Integrate column j of ``ys`` (nstate, n) forward to ``ts[j] >= 0``
-    in one lockstep batch.  Returns the (nstate, n) end states and, by
-    column, the failures as ``(what, last state, t, state outside the
-    domain or None)``; a failed column keeps its start state."""
+    in one lockstep batch.  Returns the (nstate, n) end states and the
+    set of failed columns, which keep their start state."""
     out = np.array(ys, dtype=float)
-    failed = {}
-    idx = np.flatnonzero(ts > 0.0)
+    failed, starts = set(), {}
+    for j in np.flatnonzero(ts > 0.0).tolist():
+        try:
+            starts[j] = _Marcher(spec, out[:, j], ts[j], rtol, atol)
+        except IntegrationError:
+            failed.add(j)
+    idx = np.array(list(starts), dtype=int)
     y = out[:, idx]
     t = np.zeros(idx.size)
     t_bound = ts[idx]
-    f, outside = spec.rhs_columns(y)
-    h_abs = retried = None
-
-    def fail(mask, what, y_bad=None):
-        for k in np.flatnonzero(mask):
-            bad = None if y_bad is None else y_bad[:, k].copy()
-            failed[int(idx[k])] = (what, y[:, k].copy(), float(t[k]), bad)
+    f = np.array([m.f for m in starts.values()]).reshape(idx.size, spec.nstate).T
+    h_abs = np.array([m.h_abs for m in starts.values()])
+    retried = np.zeros(idx.size, dtype=bool)
 
     def keep(mask):
         nonlocal idx, y, f, t, t_bound, h_abs, retried
         idx, y, f, t, t_bound = idx[mask], y[:, mask], f[:, mask], t[mask], t_bound[mask]
-        if h_abs is not None:
-            h_abs, retried = h_abs[mask], retried[mask]
-
-    fail(outside, "initial state outside the domain", y)
-    keep(~outside)
-
-    # scipy's select_initial_step, column by column
-    scale = atol + np.abs(y) * rtol
-    d0, d1 = _rms(y / scale), _rms(f / scale)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
-    h0 = np.minimum(h0, t_bound)
-    y1 = y + h0 * f
-    f1, outside = spec.rhs_columns(y1)
-    fail(outside, "domain exit at start", y1)
-    ok = ~outside
-    d2 = _rms((f1[:, ok] - f[:, ok]) / scale[:, ok]) / h0[ok]
-    h1 = _per_column(_initial_step, d0[ok], d1[ok], d2, h0[ok])
-    keep(ok)
-    h_abs = np.minimum(np.minimum(100 * h0[ok], h1), t_bound)
-    retried = np.zeros(idx.size, dtype=bool)
+        h_abs, retried = h_abs[mask], retried[mask]
 
     while idx.size:
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
         h_abs = np.where(~retried & (h_abs < min_step), min_step, h_abs)
         tiny = h_abs < min_step
         if tiny.any():
-            fail(tiny, f"step-size underflow: {DOP853.TOO_SMALL_STEP}")
+            failed.update(idx[tiny].tolist())
             keep(~tiny)
             continue
         t_new = np.minimum(t + h_abs, t_bound)
         h = t_new - t
         K = [f]
         outside = np.zeros(idx.size, dtype=bool)
-        y_bad = np.empty_like(y)
         for terms in _STAGE_TERMS:
             stage = y + _combine(K, terms) * h
             k, out_k = spec.rhs_columns(stage)
-            first = out_k & ~outside
-            y_bad[:, first] = stage[:, first]
             outside |= out_k
             K.append(k)
         y_new = stage
         scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
         e5 = _sumsq(_combine(K, _E5_TERMS) / scale)
         e3 = _sumsq(_combine(K, _E3_TERMS) / scale)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            norm = np.where((e5 == 0.0) & (e3 == 0.0), 0.0,
-                            h * e5 / np.sqrt((e5 + 0.01 * e3) * spec.nstate))
+        norm = _per_column(lambda *a: _error_norm(*a, spec.nstate), e5, e3, h)
         h_abs = h * _per_column(_step_factor, norm, retried)
         retried = ~(norm < 1.0)
         accepted = ~retried & ~outside
-        fail(outside, "trajectory left the domain", y_bad)
+        failed.update(idx[outside].tolist())
         if accepted.any():
             # the marcher's quaternion renormalization and f recompute
             y_acc = y_new[:, accepted]
@@ -400,10 +419,10 @@ def flow_many(spec: SystemSpec, ys, ts, rtol=None, atol=None) -> np.ndarray:
 
     Each column is its own integration with ``flow()``'s rule and
     settings, stepped in lockstep with the others (see the module
-    docstring); it agrees with ``flow()`` to rounding and is bitwise
-    independent of the other columns.  A zero horizon returns the start
-    state.  If columns fail, the IntegrationError of the lowest-index one
-    is raised after the batch, with that column's last state and time.
+    docstring): it ends on the bits of ``flow()`` from its start, whatever
+    else shares its batch.  A zero horizon returns the start state.  If
+    columns fail, the lowest-index one is re-run alone and raises
+    ``flow()``'s IntegrationError.
     """
     ys = np.asarray(ys, dtype=float)
     ts = np.asarray(ts, dtype=float)
@@ -418,14 +437,9 @@ def flow_many(spec: SystemSpec, ys, ts, rtol=None, atol=None) -> np.ndarray:
     s = spec.defaults.override(rtol=rtol, atol=atol)
     out, failed = _lockstep(spec, ys, ts, s.rtol, s.atol)
     if failed:
-        what, y_last, t, y_bad = failed[min(failed)]
-        cause = None
-        if y_bad is not None:
-            try:
-                spec.domain_check(y_bad)
-            except DomainError as e:
-                cause = e
-        raise _failure(spec, what, y_last, t, cause)
+        j = min(failed)
+        _Marcher(spec, ys[:, j], ts[j], s.rtol, s.atol).run()
+        raise AssertionError(f"batch column {j} failed but not when run alone")
     return out
 
 
@@ -441,7 +455,8 @@ class PeriodResult:
 def _period_search(spec: SystemSpec, m: PhasePoint, s: IntegrationDefaults):
     """Core search at the settings ``s``; returns (PeriodResult, trajectory
     covering [0, tau])."""
-    y0 = spec.pack(m)
+    # the domain test comes first: the gate below is arithmetic on y0
+    y0 = _start_state(spec, spec.pack(m))
     rp0 = spec.reduce_y(y0)
     scale = max(1.0, float(np.linalg.norm(rp0)))
     v0 = spec.reduced_velocity(y0)
@@ -472,7 +487,7 @@ def _period_search(spec: SystemSpec, m: PhasePoint, s: IntegrationDefaults):
     while not marcher.finished:
         seg = marcher.step()
         sig = sigma_of(seg)
-        ts = np.linspace(seg.t_old, seg.t_new, n_sub + 1)
+        ts = np.linspace(seg.t_old, seg.t, n_sub + 1)
         vals = sig(ts)
         for i in range(1, len(ts)):
             if not (vals[i - 1] < 0.0 <= vals[i]):

@@ -147,8 +147,7 @@ def _finish(name, spec, desc, residuals, n_skipped, tol, seed, t0) -> CheckRepor
 # ---------------------------------------------------------------------------
 
 def _random_rotation(rng) -> Rotation:
-    q = rng.normal(size=4)
-    return Rotation(q / np.linalg.norm(q))
+    return Rotation(rng.normal(size=4))
 
 
 def _random_group_element(spec: SystemSpec, rng) -> GroupElement:

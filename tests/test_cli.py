@@ -160,7 +160,8 @@ def test_non_finite_config_number_exits_two(tmp_path, capsys, base, block, key,
 
 
 def test_rtol_below_integrator_floor_is_config_error(tmp_path, monkeypatch, capsys):
-    # DOP853 would silently raise a smaller rtol to 100 eps
+    # error control cannot work below rounding (scipy raises a smaller rtol
+    # to 100 eps with only a warning)
     floor = 100 * np.finfo(float).eps
     assert IntegrationDefaults(rtol=floor).rtol == floor
     for make in (lambda: IntegrationDefaults(rtol=1e-20),

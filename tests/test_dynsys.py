@@ -137,6 +137,18 @@ def test_phase_point_is_its_packed_vector(ball, rigid):
         mb.omega_body
 
 
+def test_phase_points_compare_by_identity(ball, rigid):
+    # an array field makes dataclass equality ambiguous; points compare
+    # and hash as objects instead
+    for spec, make in ((ball, lambda: ball_point(ball, (0.9, -0.2), (0.1, 0.35))),
+                       (rigid, lambda: rigid_point(rigid, Rotation.identity(), (1.0, 0.2, 0.3)))):
+        m1, m2 = make(), make()
+        assert np.array_equal(m1.y, m2.y)
+        assert (m1 == m2) is False and m1 != m2
+        assert m1 == m1
+        assert {m1, m2, m1} == {m1, m2} and m1 in {m1}
+
+
 def test_phase_point_rejects_a_bad_vector(ball, rigid):
     y = np.array([0.9, -0.2, 0.1, 0.35, 1.0, 0.0, 0.0, 0.0, 0.4])
     with pytest.raises(ValueError, match="shape"):
@@ -400,7 +412,7 @@ def test_reduced_velocity_matches_finite_difference(ball, rigid):
         y0 = spec.pack(m)
         yp = solve_ivp(spec.rhs, (0, h), y0, method="DOP853",
                        rtol=1e-13, atol=1e-15).y[:, -1]
-        ym = solve_ivp(lambda t, y: -spec.rhs(t, y), (0, h), y0,
+        ym = solve_ivp(lambda t, y: -np.array(spec.rhs(t, y)), (0, h), y0,
                        method="DOP853", rtol=1e-13, atol=1e-15).y[:, -1]
         fd = (spec.reduce_y(yp) - spec.reduce_y(ym)) / (2 * h)
         an = spec.reduced_velocity(y0)

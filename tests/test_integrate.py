@@ -3,7 +3,7 @@
 Oracles: flow semigroup property, closed-form steady rotation of the
 rigid body, the linearized small-oscillation period of Euler's
 equations near a stable axis, re-integration at a tighter tolerance,
-and the scalar marcher for the lockstep batch.
+and flow() for the lockstep batch, which must give its bits.
 """
 
 import itertools
@@ -12,6 +12,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reconphase.cli import TORUS_PROBE
 from reconphase.dynsys import (
@@ -42,6 +43,7 @@ from reconphase.integrate import (
 )
 from reconphase.liegroup import GroupElement, Rotation, exp_so3
 from reconphase.reconstruct import phase, torus_embed
+from reconphase.verify import sample_points
 
 
 @pytest.fixture(scope="module")
@@ -120,12 +122,9 @@ def test_flow_rejects_bad_start(ball):
 @pytest.mark.parametrize("run", [lambda s, m: flow(s, m, 1.0), phase],
                          ids=["flow", "phase"])
 def test_infinite_velocity_is_a_typed_domain_exit(ball, run):
+    # phase() tests the domain before any arithmetic on the start
     m = ball_point(ball, (0.5, 0.0), (math.inf, 0.0))
-    # phase() forms the reduced speed of the start before the marcher
-    # tests the domain, which is arithmetic on inf
-    with np.errstate(invalid="ignore"), pytest.raises(
-        IntegrationError, match="initial state outside the domain"
-    ) as exc:
+    with pytest.raises(IntegrationError, match="initial state outside the domain") as exc:
         run(ball, m)
     assert isinstance(exc.value.__cause__, DomainError)
     assert str(exc.value.__cause__) == "velocity a_dot = (inf, 0) is not finite"
@@ -191,38 +190,74 @@ def test_flow_many_columns_are_independent_of_their_batch(kind, batch_inputs):
     assert np.array_equal(flow_many(spec, ys[:, perm], ts[perm]), full[:, perm])
 
 
+def _assert_columns_equal_flow(spec, xs, ts):
+    """flow_many from the points ``xs`` to the horizons ``ts`` ends, column
+    by column, on the bits of flow().  The batch starts from each x.y,
+    as flow() does: unpack renormalises."""
+    ends = flow_many(spec, _packed(spec, xs), np.asarray(ts, dtype=float))
+    for x, t, y_end in zip(xs, ts, ends.T):
+        assert np.array_equal(spec.unpack(y_end).y, flow(spec, x, t).y)
+
+
 @pytest.mark.parametrize("kind, inputs", list(itertools.product(["ball", "rigid"],
                                                                 ["probe", "grid"])))
 def test_flow_many_agrees_with_flow(kind, inputs, batch_inputs):
     spec, ys, ts = batch_inputs[kind, inputs]
-    ends = flow_many(spec, ys, ts)
-    for j in range(ys.shape[1]):
-        scalar = flow(spec, spec.unpack(ys[:, j]), ts[j])
-        assert state_distance(spec.unpack(ends[:, j]), scalar) <= 1e-12
+    _assert_columns_equal_flow(spec, [spec.unpack(y) for y in ys.T], ts)
+
+
+@pytest.fixture(scope="module")
+def sampled(ball, rigid):
+    """(spec, sampler points, their periods) of both systems."""
+    out = {}
+    for spec in (ball, rigid):
+        points = sample_points(spec, np.random.default_rng(11), 4)
+        out[spec.kind] = (spec, points, [phase(spec, x).tau for x in points])
+    return out
+
+
+@pytest.mark.parametrize("kind, n", list(itertools.product(["ball", "rigid"], [1, 5, 17])))
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_flow_many_equals_flow_on_sampler_points(kind, n, data, sampled):
+    spec, points, taus = sampled[kind]
+    picks = data.draw(st.lists(st.integers(0, len(points) - 1), min_size=n, max_size=n))
+    # a zero horizon returns the start unrenormalised (flow_many's own test)
+    fracs = data.draw(st.lists(st.floats(0.0, 2.0, exclude_min=True),
+                               min_size=n, max_size=n))
+    _assert_columns_equal_flow(spec, [points[i] for i in picks],
+                               [f * taus[i] for i, f in zip(picks, fracs)])
 
 
 @pytest.mark.parametrize("kind", ["ball", "rigid"])
 def test_flow_many_step_counts_equal_the_marchers(kind, batch_inputs, monkeypatch):
-    # Counted from the column RHS calls of a one-column batch: 2 to pick
-    # the first step, 12 per attempt, and after each accepted step one
-    # recompute at the renormalized state, whose input repeats the previous
-    # call's outside the quaternion slot.
+    # A one-column batch takes its f and first step from a marcher (2
+    # scalar RHS calls), then makes 12 column RHS calls per attempt and,
+    # after each accepted step, one recompute at the renormalized state,
+    # whose input repeats the previous call's outside the quaternion slot.
     spec, ys, ts = batch_inputs[kind, "probe"]
-    calls = []
-    rhs_columns = SystemSpec.rhs_columns
+    calls, scalar_calls = [], []
+    rhs, rhs_columns = SystemSpec.rhs, SystemSpec.rhs_columns
 
     def counting(self, states):
         calls.append(np.array(states))
         return rhs_columns(self, states)
 
+    def counting_scalar(self, t, y):
+        scalar_calls.append(t)
+        return rhs(self, t, y)
+
     monkeypatch.setattr(SystemSpec, "rhs_columns", counting)
+    monkeypatch.setattr(SystemSpec, "rhs", counting_scalar)
     rest = np.ones(spec.nstate, dtype=bool)
     rest[spec.quat_slice] = False
     for j in range(ys.shape[1]):
         calls.clear()
+        scalar_calls.clear()
         flow_many(spec, ys[:, [j]], ts[[j]])
+        assert len(scalar_calls) == 2
         accepted = sum(np.array_equal(a[rest], b[rest]) for a, b in zip(calls, calls[1:]))
-        rejected, rem = divmod(len(calls) - 2 - 13 * accepted, 12)
+        rejected, rem = divmod(len(calls) - 13 * accepted, 12)
         traj = _Marcher(spec, ys[:, j], ts[j], 1e-10, 1e-12).run()
         assert rem == 0
         assert (accepted, rejected) == (traj.n_accepted, traj.n_rejected)
@@ -235,23 +270,25 @@ def test_flow_many_domain_exit_fails_its_column_only(ball, mball):
               ball_point(ball, (2.3, 0.0), (2.5, 0.0))]
     start = [mball, escape[0], flow(ball, mball, 1.0), escape[1]]
     ys, ts = _packed(ball, start), np.array([3.0, 10.0, 2.0, 10.0])
-    with pytest.raises(IntegrationError) as exc:
-        flow(ball, escape[0], 10.0)
-    scalar = exc.value
+    scalar = []
+    for x in escape:
+        with pytest.raises(IntegrationError) as exc:
+            flow(ball, x, 10.0)
+        scalar.append(exc.value)
+    assert scalar[1].t < scalar[0].t
     with pytest.raises(IntegrationError) as exc:
         flow_many(ball, ys, ts)
     err = exc.value
     assert str(err).startswith("trajectory left the domain: center radius")
-    assert str(scalar).startswith("trajectory left the domain: center radius")
+    assert str(err) == str(scalar[0])
+    assert err.t == scalar[0].t > 0.4
+    assert np.array_equal(err.last_state.y, scalar[0].last_state.y)
     assert np.linalg.norm(err.last_state.a) <= 2.5
-    assert abs(err.t - scalar.t) < 1e-3 and err.t > 0.4
-    with pytest.raises(IntegrationError) as exc:
-        flow_many(ball, ys[:, [1]], ts[[1]])
-    assert exc.value.t == err.t
-    assert np.array_equal(ball.pack(exc.value.last_state), ball.pack(err.last_state))
+    assert isinstance(err.__cause__, DomainError)
+    assert str(err.__cause__) == str(scalar[0].__cause__)
 
     out, failed = _lockstep(ball, ys, ts, 1e-10, 1e-12)
-    assert sorted(failed) == [1, 3] and failed[3][2] < failed[1][2]
+    assert failed == {1, 3}
     for j in (0, 2):
         assert np.array_equal(out[:, j], flow_many(ball, ys[:, [j]], ts[[j]])[:, 0])
     assert np.array_equal(out[:, [1, 3]], ys[:, [1, 3]])
