@@ -185,9 +185,6 @@ class PhasePoint:
             raise ValueError("Q must be the canonical rotation of y's quaternion slot")
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "Q", Q)
-        # phase results of this point by resolved settings (verify's
-        # base-phase memo); not a field, so repr and pack ignore it
-        object.__setattr__(self, "_phases", {})
 
     def _slot(self, kind: str, name: str, index):
         if self.system.kind != kind:

@@ -18,12 +18,13 @@ builds no interpolant; its steps are the same either way.
 packed columns (torchode, Lienen & Günnemann, arXiv:2210.12375): each
 column with its own step size and accept/reject decision, compacted
 away once it finishes or fails.  The field is evaluated once per stage
-for all live columns (``SystemSpec.rhs_columns``) and every sum runs in
-the marcher's order, so a column ends on the bits of ``flow()`` from
-its start, whatever shares its batch.  A column takes its first step
-from a marcher, and the lowest failed column is re-run alone by the
-marcher, which raises ``flow()``'s error.  Each numpy operation costs
-about a scalar field call, so the batch pays only with several columns.
+for all live columns (``SystemSpec.rhs_columns``) and every sum is the
+marcher's own tableau row, run on one block of all live columns, so a
+column ends on the bits of ``flow()`` from its start, whatever shares
+its batch.  A column takes its first step from a marcher, and the
+lowest failed column is re-run alone by the marcher, which raises
+``flow()``'s error.  Each numpy operation costs about a scalar field
+call, so the batch pays only with several columns.
 
 Period detection marches the flow while watching the section function
 sigma(t) = <reduced(t) - reduced(0), v0_hat> (v0 = initial reduced
@@ -90,7 +91,9 @@ def _terms(coefficients):
 def _rows(rows, template):
     """Per tableau row, a function ``(y, K, x)`` giving the list of
     ``template`` over the rows ``v`` of y, with ``{acc}`` the row's sum
-    over the stages K in ``_combine``'s order.  Each is one comprehension
+    ``k_i * c_i + ...`` over the stages K in the row's order.  The marcher
+    passes one state's floats as the rows, the lockstep one block ``[y]``
+    of all rows and columns with stages ``[k]``.  Each is one comprehension
     generated here: built term by term, the sums cost a list per term."""
     made = []
     for terms in rows:
@@ -104,24 +107,13 @@ def _rows(rows, template):
 
 # tableau rows 1-12 make a step (row 12 is B, the step's end state) and
 # rows 13-15 the dense output's extra stages; (c, row) with y = start, x = h
-_A_TERMS = tuple(_terms(_dop.A[s, :s]) for s in range(1, _dop.N_STAGES_EXTENDED))
-_STAGE_TERMS = _A_TERMS[:_dop.N_STAGES]
-_E5_TERMS = _terms(_dop.E5)
-_E3_TERMS = _terms(_dop.E3)
-_STAGES = tuple(zip(_dop.C[1:].tolist(), _rows(_A_TERMS, "v + ({acc}) * x")))
+_STAGES = tuple(zip(_dop.C[1:].tolist(), _rows(
+    (_terms(_dop.A[s, :s]) for s in range(1, _dop.N_STAGES_EXTENDED)),
+    "v + ({acc}) * x")))
 _D_ROWS = _rows(map(_terms, _dop.D), "x * ({acc})")
-_E5_ROW, _E3_ROW = _rows((_E5_TERMS, _E3_TERMS), "({acc}) / v")  # y = scale
+_E5_ROW, _E3_ROW = _rows(map(_terms, (_dop.E5, _dop.E3)), "({acc}) / v")  # y = scale
 # DOP853's error estimator is of order 7
 _ERROR_EXPONENT = -1.0 / 8.0
-
-
-def _combine(K, terms):
-    """sum_i c_i K[i] over ``terms`` in their fixed order."""
-    (i, c), *rest = terms
-    acc = K[i] * c
-    for i, c in rest:
-        acc += K[i] * c
-    return acc
 
 
 def _sumsq(x):
@@ -218,9 +210,10 @@ class Trajectory:
 class _Marcher:
     """The DOP853 rule on one packed state of Python floats from time 0
     to ``t_bound``, fixing the quaternion after each step.  ``sign = -1``
-    marches the negated field; with ``dense`` (forward only) each step's
-    interpolant is kept.  ``_lockstep`` starts a column from ``f`` and
-    ``h_abs``, the start's field and first step size."""
+    marches the negated field (the field and a failure see the time
+    ``sign * t``); with ``dense`` (forward only) each step's interpolant is
+    kept.  ``_lockstep`` starts a column from ``f`` and ``h_abs``, the
+    start's field and first step size."""
 
     def __init__(self, spec: SystemSpec, y0, t_bound, rtol, atol, sign=1.0,
                  dense=False):
@@ -239,7 +232,7 @@ class _Marcher:
 
     def _eval(self, t, y):
         self.traj.n_rhs_evals += 1
-        return self.spec.rhs(t, y)
+        return self.spec.rhs(self.sign * t, y)
 
     def _first_step(self):
         """scipy's ``select_initial_step``."""
@@ -263,7 +256,7 @@ class _Marcher:
                 if h_abs < min_step:
                     raise _failure(spec, "step-size underflow: Required step size "
                                    "is less than spacing between numbers.",
-                                   traj.states[-1], t)
+                                   traj.states[-1], self.sign * t)
                 t_new = min(t + h_abs, self.t_bound)
                 h = t_new - t
                 K = [self.f]
@@ -287,7 +280,8 @@ class _Marcher:
             # continue the march from the renormalized state
             self.f = self._eval(t_new, y_fix)
         except DomainError as e:
-            raise _failure(spec, "trajectory left the domain", traj.states[-1], t, e)
+            raise _failure(spec, "trajectory left the domain", traj.states[-1],
+                           self.sign * t, e)
         self.t, self.y, self.h_abs = t_new, y_fix, h_abs
         traj.times.append(t_new)
         traj.states.append(np.array(y_fix))
@@ -381,17 +375,16 @@ def _lockstep(spec: SystemSpec, ys, ts, rtol, atol):
             continue
         t_new = np.minimum(t + h_abs, t_bound)
         h = t_new - t
-        K = [f]
+        K = [[f]]
         outside = np.zeros(idx.size, dtype=bool)
-        for terms in _STAGE_TERMS:
-            stage = y + _combine(K, terms) * h
-            k, out_k = spec.rhs_columns(stage)
+        for _, row in _STAGES[:_dop.N_STAGES]:
+            y_new, = row([y], K, h)
+            k, out_k = spec.rhs_columns(y_new)
             outside |= out_k
-            K.append(k)
-        y_new = stage
-        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-        e5 = _sumsq(_combine(K, _E5_TERMS) / scale)
-        e3 = _sumsq(_combine(K, _E3_TERMS) / scale)
+            K.append([k])
+        scale = [atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol]
+        e5 = _sumsq(_E5_ROW(scale, K, None)[0])
+        e3 = _sumsq(_E3_ROW(scale, K, None)[0])
         norm = _per_column(lambda *a: _error_norm(*a, spec.nstate), e5, e3, h)
         h_abs = h * _per_column(_step_factor, norm, retried)
         retried = ~(norm < 1.0)

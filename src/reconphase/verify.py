@@ -12,13 +12,13 @@ elements, frame coordinates) comes from its own ``numpy`` generator
 seeded with the ``seed`` argument recorded in the report.
 
 A sample's base phase is computed once per resolved integration
-settings: the sampler's admission call computes it, it is kept on the
-phase point, and every check run with the same settings receives that
-result (read-only, so no check can change it for the next).  A check
-run with other settings, such as the crude-tolerance negative control
-of ``check_linearization``, computes its own.  The phases a check
-compares against the base (flowed, translated, framed points) are
-always fresh computations.
+settings: the sampler's admission call computes it, a weak memo keyed
+by the phase point keeps it while the point lives, and every check run
+with the same settings receives that result (read-only, so no check can
+change it for the next).  A check run with other settings, such as the
+crude-tolerance negative control of ``check_linearization``, computes
+its own.  The phases a check compares against the base (flowed,
+translated, framed points) are always fresh computations.
 
 The rotation-angle oracle (:func:`montgomery_oracle`) re-derives the
 rigid body's per-period rotation about its spatial momentum axis from
@@ -29,8 +29,10 @@ cross-validates two code paths.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
+import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -78,7 +80,7 @@ from .reconstruct import (
 TWO_PI = 2.0 * math.pi
 
 # recoverable per-sample failures: the sample is skipped, not the check
-_SKIP = (PeriodNotFoundError, DomainError, IntegrationError)
+_SKIP = (PeriodNotFoundError, NotPeriodicError, DomainError, IntegrationError)
 
 
 @dataclass
@@ -155,14 +157,19 @@ def _random_group_element(spec: SystemSpec, rng) -> GroupElement:
     return GroupElement(theta, _random_rotation(rng), spec.group)
 
 
+# base phases by point (held weakly), then by resolved settings
+_BASE_PHASES = weakref.WeakKeyDictionary()
+
+
 def _base_phase(spec: SystemSpec, m: PhasePoint, **kw):
     """The phase of m with the settings ``kw`` resolve to, computed once
-    per point and resolved settings and kept on the point, so the sampler
-    and every check of a sample share it.  A failure is not kept."""
+    per point and resolved settings and kept in ``_BASE_PHASES``, so the
+    sampler and every check of a sample share it.  A failure is not kept."""
     key = spec.defaults.override(**kw)
-    p = m._phases.get(key)
+    phases = _BASE_PHASES.setdefault(m, {})
+    p = phases.get(key)
     if p is None:
-        p = m._phases[key] = phase(spec, m, **kw)
+        p = phases[key] = phase(spec, m, **kw)
     return p
 
 
@@ -171,7 +178,7 @@ def _keep_sample(spec: SystemSpec, m: PhasePoint) -> bool:
     orbit staying in the domain and a regular phase."""
     try:
         return _base_phase(spec, m).regular
-    except _SKIP + (NotPeriodicError, PhaseInconsistencyError):
+    except _SKIP + (PhaseInconsistencyError,):
         return False
 
 
@@ -270,10 +277,11 @@ def _run_check(name, spec, samples, tol, seed, desc, residual, base="torus",
     """Shared driver of the sample checks: times the run, seeds the
     check's own generator and applies the skip policy.
 
-    ``residual(m, p, rng)`` returns the worst residual of one sample, with
-    ``p`` the base phase of m (``_base_phase`` with ``phase_kwargs``), or
-    None when ``base`` is None.  A :class:`PhaseInconsistencyError` counts as
-    the sample's residual; a recoverable failure, or a singular base
+    ``residual(m, p, rng)`` yields the residuals of one sample, with ``p``
+    the base phase of m (``_base_phase`` with ``phase_kwargs``), or None
+    when ``base`` is None; the sample scores the largest of them, or 0.0
+    when it yields none.  A :class:`PhaseInconsistencyError` is the
+    sample's score instead; a recoverable failure, or a singular base
     phase when ``base == "torus"``, skips the sample.
     """
     t0 = time.perf_counter()
@@ -285,10 +293,10 @@ def _run_check(name, spec, samples, tol, seed, desc, residual, base="torus",
             if base == "torus" and not p.regular:
                 skipped += 1
                 continue
-            residuals.append(residual(m, p, rng))
+            residuals.append(max(itertools.chain((0.0,), residual(m, p, rng))))
         except PhaseInconsistencyError as e:
             residuals.append(e.residual)
-        except _SKIP + (NotPeriodicError,):
+        except _SKIP:
             skipped += 1
     return _finish(name, spec, desc, residuals, skipped, tol, seed, t0)
 
@@ -297,15 +305,10 @@ def check_phase_conserved(spec, samples, tol, seed=None, fractions=(0.2, 0.7, 1.
     """The phase is constant along the flow: recomputing it anywhere on
     the orbit returns the same group element and the same period."""
     def residual(m, p, rng):
-        worst = 0.0
         for frac in fractions:
             pt = phase(spec, flow(spec, m, frac * p.tau))
-            worst = max(
-                worst,
-                abs(pt.tau - p.tau),
-                group_distance(pt.gamma, p.gamma),
-            )
-        return worst
+            yield abs(pt.tau - p.tau)
+            yield group_distance(pt.gamma, p.gamma)
 
     desc = f"{len(samples)} initial conditions x flow offsets {list(fractions)} of tau"
     return _run_check("phase_conserved", spec, samples, tol, seed, desc, residual,
@@ -316,16 +319,11 @@ def check_equivariance(spec, samples, tol, seed=None, n_group=5) -> CheckReport:
     """Conjugation equivariance: the phase of a translated point is the
     translated phase, gamma(g.m) = g gamma(m) g^-1."""
     def residual(m, p, rng):
-        worst = 0.0
         for _ in range(n_group):
             g = _random_group_element(spec, rng)
             pg = phase(spec, act(g, m))
-            worst = max(
-                worst,
-                abs(pg.tau - p.tau),
-                group_distance(pg.gamma, conj(g, p.gamma)),
-            )
-        return worst
+            yield abs(pg.tau - p.tau)
+            yield group_distance(pg.gamma, conj(g, p.gamma))
 
     desc = f"{len(samples)} initial conditions x {n_group} group elements"
     return _run_check("equivariance", spec, samples, tol, seed, desc, residual,
@@ -354,7 +352,7 @@ def check_linearization(spec, samples, tol, seed=None, rtol=None, atol=None,
         if rank == 2:
             betas[2] = np.array([0.7, 0.2])
         chart = [(al, be, torus_embed(spec, p, al, be)) for al in alphas for be in betas]
-        return float(
+        yield float(
             conjugacy_residuals(spec, p, chart, t_fracs, rtol=rtol, atol=atol).max()
         )
 
@@ -370,14 +368,11 @@ def check_flower_invariants(spec, samples, tol, seed=None, n_frames=6) -> CheckR
     period trajectory; the fresh integration from it is what equivariance
     of the flow must keep on that orbit."""
     def residual(m, p, rng):
-        worst = 0.0
         for _ in range(n_frames):
             al = float(rng.uniform(0.0, 1.0))
             g = _random_group_element(spec, rng)
             x = flow(spec, flower_frame(spec, p, al, g), 0.5 * p.tau)
-            d, _ = reduced_orbit_distance(spec, p, x)
-            worst = max(worst, d)
-        return worst
+            yield reduced_orbit_distance(spec, p, x)[0]
 
     desc = f"{len(samples)} initial conditions x {n_frames} random (alpha, g) frames"
     return _run_check("flower_invariants", spec, samples, tol, seed, desc, residual)
@@ -389,22 +384,18 @@ def check_delta_integral(spec, samples, tol, seed=None) -> CheckReport:
     Weyl flip; the flip itself lands on a different petal (binary
     violations count as residual 1)."""
     def residual(m, p, rng):
-        worst = 0.0
         for frac in (0.35, 1.6):
             pt = phase(spec, flow(spec, m, frac * p.tau))
-            worst = max(worst, projective_distance(pt.delta_rep, p.delta_rep))
+            yield projective_distance(pt.delta_rep, p.delta_rep)
         rank = p.eta.size
         x = torus_embed(spec, p, 0.4, np.full(rank, 0.3))
         px = phase(spec, x)
-        worst = max(worst, projective_distance(px.delta_rep, p.delta_rep))
+        yield projective_distance(px.delta_rep, p.delta_rep)
         m_w, _ = weyl_partner(spec, m, p)
         pw = phase(spec, m_w)
-        worst = max(worst, projective_distance(pw.delta_rep, p.delta_rep))
-        if not same_petal(spec, m, x, p1=p, p2=px):
-            worst = max(worst, 1.0)
-        if same_petal(spec, m, m_w, p1=p, p2=pw):
-            worst = max(worst, 1.0)
-        return worst
+        yield projective_distance(pw.delta_rep, p.delta_rep)
+        yield float(not same_petal(spec, m, x, p1=p, p2=px))
+        yield float(same_petal(spec, m, m_w, p1=p, p2=pw))
 
     desc = f"{len(samples)} initial conditions; flow/torus/Weyl transports"
     return _run_check("delta_integral", spec, samples, tol, seed, desc, residual)
@@ -416,20 +407,12 @@ def check_frequency_flower_constancy(spec, samples, tol, seed=None, n_frames=4) 
     frame phase is conjugate to the regular base phase, so a singular
     one is an inconsistency and counts as residual 1."""
     def residual(m, p, rng):
-        worst = 0.0
         for _ in range(n_frames):
             al = float(rng.uniform(0.0, 1.0))
             g = _random_group_element(spec, rng)
-            x = flower_frame(spec, p, al, g)
-            px = phase(spec, x)
-            if not px.regular:
-                worst = max(worst, 1.0)
-                continue
-            worst = max(
-                worst,
-                frequency_mismatch(px.frequencies, p.frequencies, p.tau),
-            )
-        return worst
+            px = phase(spec, flower_frame(spec, p, al, g))
+            yield (frequency_mismatch(px.frequencies, p.frequencies, p.tau)
+                   if px.regular else 1.0)
 
     desc = f"{len(samples)} initial conditions x {n_frames} flower frames"
     return _run_check(
@@ -442,12 +425,10 @@ def check_vf_invariance(spec, samples, tol, seed=None, n_group=5) -> CheckReport
     element reproduces it at the translated point."""
     def residual(m, p, rng):
         v = vector_field(m)
-        worst = 0.0
         for _ in range(n_group):
             g = _random_group_element(spec, rng)
             diff = vector_field(act(g, m)) - d_act(g, m, v)
-            worst = max(worst, float(np.max(np.abs(diff))))
-        return worst
+            yield float(np.max(np.abs(diff)))
 
     desc = f"{len(samples)} phase points x {n_group} group elements"
     return _run_check("vf_invariance", spec, samples, tol, seed, desc, residual,
@@ -464,7 +445,7 @@ def check_period_continuity(spec, family, tol=1.0, seed=None, jump_factor=10.0) 
     for m in family:
         try:
             taus.append(find_reduced_period(spec, m).tau)
-        except _SKIP + (NotPeriodicError,):
+        except _SKIP:
             skipped += 1
     desc = f"{len(family)}-point family, jump factor {jump_factor}"
     if len(taus) < 4:

@@ -113,6 +113,17 @@ def test_flow_integration_error_on_domain_exit(ball):
     assert np.linalg.norm(last.a) <= 2.5 + 1e-9
 
 
+def test_backward_flow_failure_time_is_signed(ball):
+    # the mirror image of the forward escape above: the same march, at
+    # negative times, so the error and its domain cause report t < 0
+    m = ball_point(ball, (1.4, 0.0), (-2.5, 0.0), Rotation.identity(), 0.0)
+    with pytest.raises(IntegrationError) as exc:
+        flow(ball, m, -10.0)
+    assert exc.value.t == -0.5329057165439738
+    assert isinstance(exc.value.__cause__, DomainError)
+    assert exc.value.__cause__.t < 0.0
+
+
 def test_flow_rejects_bad_start(ball):
     m = ball_point(ball, (5.0, 0.0), (0.0, 0.1), Rotation.identity(), 0.0)
     with pytest.raises(IntegrationError):

@@ -17,6 +17,7 @@ from reconphase.dynsys import (
 import reconphase.verify as verify
 from reconphase.errors import (
     OracleUnavailableError,
+    PhaseInconsistencyError,
     ReconphaseError,
     SamplerExhaustedError,
 )
@@ -314,6 +315,36 @@ def test_singular_frame_phase_fails_frequency_constancy(rigid_spec, rigid_sample
     assert rep.max_residual == 1.0
 
 
+@pytest.mark.parametrize("check", [check_phase_conserved, check_equivariance,
+                                   check_delta_integral,
+                                   check_frequency_flower_constancy])
+def test_inconsistent_fresh_phase_scores_its_residual(rigid_spec, rigid_samples,
+                                                      monkeypatch, check):
+    # a fresh phase that is off its group orbit is the sample's score, not
+    # a skip: the error's residual stands for the whole sample
+    samples = rigid_samples[:2]
+    real = verify.phase
+
+    def inconsistent(spec, m, **kw):
+        if any(m is s for s in samples):
+            return real(spec, m, **kw)
+        raise PhaseInconsistencyError("off the group orbit", residual=0.25)
+
+    monkeypatch.setattr(verify, "phase", inconsistent)
+    rep = check(rigid_spec, samples, 1e-6, seed=1)
+    assert (rep.n_samples, rep.n_skipped) == (2, 0)
+    assert rep.max_residual == 0.25 and rep.verdict == "fail"
+
+
+def test_wrong_petal_verdict_scores_one(rigid_spec, rigid_samples, monkeypatch):
+    # the two petal tests are binary: each violation counts as residual 1
+    real = verify.same_petal
+    monkeypatch.setattr(verify, "same_petal", lambda *a, **kw: not real(*a, **kw))
+    rep = check_delta_integral(rigid_spec, rigid_samples[:1], 1e-6, seed=5)
+    assert rep.verdict == "fail"
+    assert rep.max_residual == 1.0
+
+
 # ---------------------------------------------------------------------------
 # one base phase per sample
 # ---------------------------------------------------------------------------
@@ -370,10 +401,11 @@ def test_base_phase_memo_is_freed_with_the_samples(rigid_spec, monkeypatch):
     samples = sample_points(rigid_spec, np.random.default_rng(5), 1)
     p = verify._base_phase(rigid_spec, samples[0])
     assert p is calls[-1][2]
-    ref = weakref.ref(p)
+    ref, point_ref = weakref.ref(p), weakref.ref(samples[0])
     del p, samples, calls[:]
     gc.collect()
-    assert ref() is None
+    # the memo holds neither the result nor the point it is keyed by
+    assert ref() is None and point_ref() is None
 
 
 # ---------------------------------------------------------------------------
