@@ -24,7 +24,8 @@ The rotation-angle oracle (:func:`montgomery_oracle`) re-derives the
 rigid body's per-period rotation about its spatial momentum axis from
 scratch — its own integrator, a one-turn azimuth event and the area
 integrated along the loop — so that agreement with ``phase()`` genuinely
-cross-validates two code paths.
+cross-validates two code paths.  Its loop field runs on Python floats;
+each evaluation has the bits of the field's ``np.cross`` form.
 """
 
 from __future__ import annotations
@@ -123,9 +124,17 @@ class CheckReport:
         }
 
 
+def _worst(residuals):
+    """The largest of the residuals, or NaN when any of them is NaN (a
+    bare ``max`` keeps or drops a NaN depending on where it comes), so
+    that a NaN residual fails its check."""
+    residuals = list(residuals)
+    return math.nan if any(map(math.isnan, residuals)) else max(residuals)
+
+
 def _finish(name, spec, desc, residuals, n_skipped, tol, seed, t0) -> CheckReport:
     if residuals:
-        worst = float(max(residuals))
+        worst = float(_worst(residuals))
         verdict = "pass" if worst < tol else "fail"
     else:
         worst = None
@@ -279,10 +288,11 @@ def _run_check(name, spec, samples, tol, seed, desc, residual, base="torus",
 
     ``residual(m, p, rng)`` yields the residuals of one sample, with ``p``
     the base phase of m (``_base_phase`` with ``phase_kwargs``), or None
-    when ``base`` is None; the sample scores the largest of them, or 0.0
-    when it yields none.  A :class:`PhaseInconsistencyError` is the
-    sample's score instead; a recoverable failure, or a singular base
-    phase when ``base == "torus"``, skips the sample.
+    when ``base`` is None; the sample scores the largest of them (NaN if
+    any is NaN), or 0.0 when it yields none.  A
+    :class:`PhaseInconsistencyError` is the sample's score instead; a
+    recoverable failure, or a singular base phase when
+    ``base == "torus"``, skips the sample.
     """
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
@@ -293,7 +303,7 @@ def _run_check(name, spec, samples, tol, seed, desc, residual, base="torus",
             if base == "torus" and not p.regular:
                 skipped += 1
                 continue
-            residuals.append(max(itertools.chain((0.0,), residual(m, p, rng))))
+            residuals.append(_worst(itertools.chain((0.0,), residual(m, p, rng))))
         except PhaseInconsistencyError as e:
             residuals.append(e.residual)
         except _SKIP:
@@ -503,6 +513,21 @@ def _family_pole(inertia, u0) -> np.ndarray:
     return pole if float(u0 @ pole) >= 0.0 else -pole
 
 
+def _momentum_loop(inertia, m: PhasePoint):
+    """The momentum loop through m, as ``(inertia, L, H, u0, pole)``: the
+    moments as an array, the norm of the body momentum, the kinetic
+    energy, the unit body momentum and its family pole
+    (:func:`_family_pole`).  Zero momentum raises OracleUnavailableError."""
+    inertia = np.asarray(inertia, dtype=float)
+    omega0 = m.omega_body
+    L_body = inertia * omega0
+    L = float(np.linalg.norm(L_body))
+    if L == 0.0:
+        raise OracleUnavailableError("zero angular momentum")
+    u0 = L_body / L
+    return inertia, L, 0.5 * float(omega0 @ L_body), u0, _family_pole(inertia, u0)
+
+
 def montgomery_oracle(inertia, m: PhasePoint, period: float = None) -> float:
     """Predicted per-period rotation angle about the spatial momentum
     axis, from the classical energy/solid-angle formula:
@@ -523,15 +548,8 @@ def montgomery_oracle(inertia, m: PhasePoint, period: float = None) -> float:
     equilibrium with no intrinsic period, the ``period`` argument must be
     supplied; separatrix-adjacent loops raise OracleUnavailableError.
     """
-    inertia = np.asarray(inertia, dtype=float)
-    omega0 = m.omega_body
-    L_body = inertia * omega0
-    L = float(np.linalg.norm(L_body))
-    if L == 0.0:
-        raise OracleUnavailableError("zero angular momentum")
-    H = 0.5 * float(omega0 @ L_body)
-    u0 = L_body / L
-    pole = _family_pole(inertia, u0)
+    loop = _momentum_loop(inertia, m)
+    _, L, H, u0, pole = loop
 
     if np.linalg.norm(np.cross(u0, pole)) < 1e-12:
         # point loop: zero enclosed area by convention
@@ -542,11 +560,46 @@ def montgomery_oracle(inertia, m: PhasePoint, period: float = None) -> float:
             )
         return (2.0 * H * period / L) % TWO_PI
 
-    tau_loop, area = momentum_loop_area(inertia, m)
+    tau_loop, area = momentum_loop_area(inertia, m, _loop=loop)
     return (2.0 * H * tau_loop / L - area) % TWO_PI
 
 
-def momentum_loop_area(inertia, m: PhasePoint, reverse: bool = False):
+def _loop_field(inertia, L, pole, reverse):
+    """The (u, phi, A) field of :func:`momentum_loop_area` on Python floats.
+
+    It evaluates
+
+        du = sign L u x (u / I),   cos_th = pole.u,
+        dphi = (u x du).pole / (1 - cos_th**2),   dA = (1 - cos_th) dphi
+
+    with each cross product component written in ``np.cross``'s order
+    (x_b y_c - x_c y_b for component a, with b, c the next indices
+    cyclically) and ``pole.x`` read as +-x_a for the pole +-e_a, which is
+    exact.  Every evaluation therefore has the bits of the numpy form of
+    these formulas, at a fraction of its cost.
+    """
+    i1, i2, i3 = inertia.tolist()
+    a = int(np.flatnonzero(pole)[0])
+    b, c = (a + 1) % 3, (a + 2) % 3
+    s = float(pole[a])
+    sL = (-1.0 if reverse else 1.0) * L
+
+    def rhs(t, y):
+        u = y[0:3].tolist()
+        u1, u2, u3 = u
+        v1, v2, v3 = u1 / i1, u2 / i2, u3 / i3
+        du = (sL * (u2 * v3 - u3 * v2),
+              sL * (u3 * v1 - u1 * v3),
+              sL * (u1 * v2 - u2 * v1))
+        cos_th = s * u[a]
+        # cos_th ** 2, not cos_th * cos_th: the two differ in the last bit
+        dphi = s * (u[b] * du[c] - u[c] * du[b]) / (1.0 - cos_th ** 2)
+        return np.array([*du, dphi, (1.0 - cos_th) * dphi])
+
+    return rhs
+
+
+def momentum_loop_area(inertia, m: PhasePoint, reverse: bool = False, *, _loop=None):
     """Period of the unit body-momentum loop and the signed spherical
     area it encloses about the family pole (right-handed about the pole;
     ``reverse=True`` traverses the loop backward, negating the area).
@@ -556,21 +609,12 @@ def momentum_loop_area(inertia, m: PhasePoint, reverse: bool = False):
     |phi| = 2 pi.  About the encircled axis e_a,
     phi' = L u_a sum_{b != a} u_b^2 (1/I_b - 1/I_a) / (1 - u_a^2), which
     keeps one sign along the loop (I_a is strictly extreme and u_a never
-    changes sign), so one azimuth turn is one period of u.
+    changes sign), so one azimuth turn is one period of u.  The field
+    (:func:`_loop_field`) runs on Python floats with the bits of its
+    ``np.cross`` form.  ``_loop`` is :func:`_momentum_loop`'s result for
+    (inertia, m), for a caller that has computed it already.
     """
-    inertia = np.asarray(inertia, dtype=float)
-    L_body = inertia * m.omega_body
-    L = float(np.linalg.norm(L_body))
-    u0 = L_body / L
-    pole = _family_pole(inertia, u0)
-    sign = -1.0 if reverse else 1.0
-
-    def rhs(t, y):
-        u = y[:3]
-        du = sign * L * np.cross(u, u / inertia)
-        cos_th = float(pole @ u)
-        dphi = float(np.cross(u, du) @ pole) / (1.0 - cos_th**2)
-        return np.append(du, (dphi, (1.0 - cos_th) * dphi))
+    inertia, L, _, u0, pole = _momentum_loop(inertia, m) if _loop is None else _loop
 
     def one_turn(t, y):
         return abs(y[3]) - TWO_PI
@@ -585,7 +629,8 @@ def momentum_loop_area(inertia, m: PhasePoint, reverse: bool = False):
     # integration bound, the one-turn event ends the loop well before it
     t_guess = TWO_PI / sp * max(inertia) / min(inertia) * 4.0 + 1.0
     sol = solve_ivp(
-        rhs, (0.0, 3.0 * t_guess), np.append(u0, (0.0, 0.0)),
+        _loop_field(inertia, L, pole, reverse), (0.0, 3.0 * t_guess),
+        np.append(u0, (0.0, 0.0)),
         method="DOP853", rtol=1e-12, atol=1e-14, events=one_turn,
     )
     if sol.status != 1:

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import json
 import math
 import weakref
 from dataclasses import replace
@@ -315,6 +316,28 @@ def test_singular_frame_phase_fails_frequency_constancy(rigid_spec, rigid_sample
     assert rep.max_residual == 1.0
 
 
+@pytest.mark.parametrize("nan_sample", [0, 1], ids=["nan_first", "nan_after_finite"])
+def test_nan_residual_fails_the_check(rigid_spec, rigid_samples, monkeypatch, nan_sample):
+    # a NaN residual is the sample's score and the report's, wherever it
+    # comes in the order of residuals and of samples
+    samples = rigid_samples[:2]
+    fractions = (0.2, 0.7)
+    real = verify.group_distance
+    calls = []
+
+    def nan_for_one_sample(g, h):
+        calls.append(None)
+        sample = (len(calls) - 1) // len(fractions)
+        return math.nan if sample == nan_sample else real(g, h)
+
+    monkeypatch.setattr(verify, "group_distance", nan_for_one_sample)
+    rep = check_phase_conserved(rigid_spec, samples, 1e-6, seed=0, fractions=fractions)
+    assert len(calls) == 2 * len(fractions)
+    assert (rep.n_samples, rep.n_skipped) == (2, 0)
+    assert rep.verdict == "fail" and math.isnan(rep.max_residual)
+    assert '"max_residual": NaN' in json.dumps(rep.to_dict())
+
+
 @pytest.mark.parametrize("check", [check_phase_conserved, check_equivariance,
                                    check_delta_integral,
                                    check_frequency_flower_constancy])
@@ -343,6 +366,28 @@ def test_wrong_petal_verdict_scores_one(rigid_spec, rigid_samples, monkeypatch):
     rep = check_delta_integral(rigid_spec, rigid_samples[:1], 1e-6, seed=5)
     assert rep.verdict == "fail"
     assert rep.max_residual == 1.0
+
+
+@pytest.mark.parametrize("nan_sample", [0, 1], ids=["nan_first", "nan_after_finite"])
+def test_nan_residual_fails_the_check(rigid_spec, rigid_samples, monkeypatch, nan_sample):
+    # a NaN residual is the sample's score and the report's, wherever it
+    # comes in the order of residuals and of samples
+    samples = rigid_samples[:2]
+    fractions = (0.2, 0.7)
+    real = verify.group_distance
+    calls = []
+
+    def nan_for_one_sample(g, h):
+        calls.append(None)
+        sample = (len(calls) - 1) // len(fractions)
+        return math.nan if sample == nan_sample else real(g, h)
+
+    monkeypatch.setattr(verify, "group_distance", nan_for_one_sample)
+    rep = check_phase_conserved(rigid_spec, samples, 1e-6, seed=0, fractions=fractions)
+    assert len(calls) == 2 * len(fractions)
+    assert (rep.n_samples, rep.n_skipped) == (2, 0)
+    assert rep.verdict == "fail" and math.isnan(rep.max_residual)
+    assert '"max_residual": NaN' in json.dumps(rep.to_dict())
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +518,81 @@ def test_loop_reversal_negates_enclosed_area(rigid_spec, rigid_samples):
     assert abs(tau_f - tau_b) < 1e-9
     assert abs(area_f + area_b) < 1e-8
     assert abs(area_f) > 1e-3  # a genuine loop, not a degenerate point
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+@pytest.mark.parametrize("inertia", [(1.0, 2.0, 3.0), (2.0, 3.0, 1.0)], ids=["123", "231"])
+def test_loop_field_has_the_bits_of_its_np_cross_form(inertia, reverse):
+    # the float field against the numpy form it replaces, on random unit
+    # momenta about both extreme axes with either sign of the pole
+    inertia = np.array(inertia)
+    order = np.argsort(inertia)
+    sign = -1.0 if reverse else 1.0
+    rng = np.random.default_rng(1401)
+    for axis, pole_sign in itertools.product((order[0], order[2]), (1.0, -1.0)):
+        pole = pole_sign * np.eye(3)[axis]
+        L = float(rng.uniform(0.5, 2.0))
+        field = verify._loop_field(inertia, L, pole, reverse)
+        for _ in range(1000):
+            u = rng.normal(size=3)
+            u /= np.linalg.norm(u)
+            y = np.append(u, rng.normal(size=2))
+            du = sign * L * np.cross(u, u / inertia)
+            cos_th = float(pole @ u)
+            dphi = float(np.cross(u, du) @ pole) / (1.0 - cos_th**2)
+            expected = np.append(du, (dphi, (1.0 - cos_th) * dphi))
+            assert field(0.0, y).tobytes() == expected.tobytes()
+
+
+# criterion 08's orbits of the (1, 2, 3) body (sample_rigid, seed 109): body
+# angular velocity, then montgomery_oracle and momentum_loop_area forward and
+# reversed, as the numpy form of the loop field computes them
+ORACLE_PINS = [
+    ((0.6168166538580723, 0.4137812683958959, 0.0001973374641500848),
+     0.7789922234828293, (16.0437190646659, -2.108675272011857),
+     (16.043719064665893, 2.1086752720118596)),
+    ((0.04191108529425219, -0.2090311483989138, -0.2630038093403319),
+     0.9153549017077447, (22.809929078549334, 0.3712969886401478),
+     (22.809929078545245, -0.3712969886401206)),
+    ((0.8151703366441682, 0.09125768534847033, -0.05116182189160574),
+     4.794528609343361, (13.348317665212463, -0.24909478750971994),
+     (13.348317665211972, 0.24909478750970024)),
+    ((-0.1875289245188487, 0.027299989230139054, 0.48769196569091733),
+     0.2413052399908855, (13.043387502207375, 0.104660179542135),
+     (13.043387502209516, -0.10466017954215547)),
+    ((0.8074953903860937, 0.17595600626707508, -0.059326807726276125),
+     5.087993461341167, (13.375490294365925, -0.5872783570953705),
+     (13.37549029435865, 0.5872783570952549)),
+    ((0.11948728414950482, 0.3404479667192394, 0.19721804835273382),
+     3.5264934855941625, (27.413423411252158, 1.1196717393971494),
+     (27.41342341123144, -1.1196717393964661)),
+    ((-0.5433135599234329, -0.30721868231409716, 0.11597507319399268),
+     1.0720327435675951, (19.3332969269288, -2.2610083374338714),
+     (19.333296926925186, 2.261008337433705)),
+    ((0.12130913159450137, -0.2670581068810466, 0.21896473809532427),
+     2.260003262968617, (26.548284496000576, 0.8059556353316428),
+     (26.548284496021523, -0.805955635332218)),
+    ((-1.4004348029531546, 0.10317523848116622, 0.028275008544851644),
+     4.6534925222530195, (7.76287220255928, -0.07099246337954758),
+     (7.7628722025580545, 0.07099246337952969)),
+    ((0.11726948861652473, -0.11002733755325395, -0.35023838529033186),
+     0.32869435916343726, (17.964012808073146, 0.14131651584136204),
+     (17.964012808032766, -0.141316515841093)),
+]
+
+
+def test_oracle_floats_on_criterion_08_orbits_are_pinned(rigid_spec):
+    for omega, angle, forward, backward in ORACLE_PINS:
+        m = rigid_point(rigid_spec, Rotation.identity(), omega)
+        assert montgomery_oracle(rigid_spec.inertia, m) == angle
+        assert momentum_loop_area(rigid_spec.inertia, m) == forward
+        assert momentum_loop_area(rigid_spec.inertia, m, reverse=True) == backward
+
+
+def test_loop_area_without_momentum_is_unavailable(rigid_spec):
+    m = rigid_point(rigid_spec, Rotation.identity(), (0.0, 0.0, 0.0))
+    with pytest.raises(OracleUnavailableError, match="zero angular momentum"):
+        momentum_loop_area(rigid_spec.inertia, m)
 
 
 def test_sample_points_dispatches(ball_spec, rigid_spec):
