@@ -548,8 +548,7 @@ def montgomery_oracle(inertia, m: PhasePoint, period: float = None) -> float:
     equilibrium with no intrinsic period, the ``period`` argument must be
     supplied; separatrix-adjacent loops raise OracleUnavailableError.
     """
-    loop = _momentum_loop(inertia, m)
-    _, L, H, u0, pole = loop
+    _, L, H, u0, pole = _momentum_loop(inertia, m)
 
     if np.linalg.norm(np.cross(u0, pole)) < 1e-12:
         # point loop: zero enclosed area by convention
@@ -560,7 +559,7 @@ def montgomery_oracle(inertia, m: PhasePoint, period: float = None) -> float:
             )
         return (2.0 * H * period / L) % TWO_PI
 
-    tau_loop, area = momentum_loop_area(inertia, m, _loop=loop)
+    tau_loop, area = momentum_loop_area(inertia, m)
     return (2.0 * H * tau_loop / L - area) % TWO_PI
 
 
@@ -599,7 +598,7 @@ def _loop_field(inertia, L, pole, reverse):
     return rhs
 
 
-def momentum_loop_area(inertia, m: PhasePoint, reverse: bool = False, *, _loop=None):
+def momentum_loop_area(inertia, m: PhasePoint, reverse: bool = False):
     """Period of the unit body-momentum loop and the signed spherical
     area it encloses about the family pole (right-handed about the pole;
     ``reverse=True`` traverses the loop backward, negating the area).
@@ -611,10 +610,9 @@ def momentum_loop_area(inertia, m: PhasePoint, reverse: bool = False, *, _loop=N
     keeps one sign along the loop (I_a is strictly extreme and u_a never
     changes sign), so one azimuth turn is one period of u.  The field
     (:func:`_loop_field`) runs on Python floats with the bits of its
-    ``np.cross`` form.  ``_loop`` is :func:`_momentum_loop`'s result for
-    (inertia, m), for a caller that has computed it already.
+    ``np.cross`` form.
     """
-    inertia, L, _, u0, pole = _momentum_loop(inertia, m) if _loop is None else _loop
+    inertia, L, _, u0, pole = _momentum_loop(inertia, m)
 
     def one_turn(t, y):
         return abs(y[3]) - TWO_PI

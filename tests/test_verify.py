@@ -368,28 +368,6 @@ def test_wrong_petal_verdict_scores_one(rigid_spec, rigid_samples, monkeypatch):
     assert rep.max_residual == 1.0
 
 
-@pytest.mark.parametrize("nan_sample", [0, 1], ids=["nan_first", "nan_after_finite"])
-def test_nan_residual_fails_the_check(rigid_spec, rigid_samples, monkeypatch, nan_sample):
-    # a NaN residual is the sample's score and the report's, wherever it
-    # comes in the order of residuals and of samples
-    samples = rigid_samples[:2]
-    fractions = (0.2, 0.7)
-    real = verify.group_distance
-    calls = []
-
-    def nan_for_one_sample(g, h):
-        calls.append(None)
-        sample = (len(calls) - 1) // len(fractions)
-        return math.nan if sample == nan_sample else real(g, h)
-
-    monkeypatch.setattr(verify, "group_distance", nan_for_one_sample)
-    rep = check_phase_conserved(rigid_spec, samples, 1e-6, seed=0, fractions=fractions)
-    assert len(calls) == 2 * len(fractions)
-    assert (rep.n_samples, rep.n_skipped) == (2, 0)
-    assert rep.verdict == "fail" and math.isnan(rep.max_residual)
-    assert '"max_residual": NaN' in json.dumps(rep.to_dict())
-
-
 # ---------------------------------------------------------------------------
 # one base phase per sample
 # ---------------------------------------------------------------------------
