@@ -65,14 +65,10 @@ states are uniformly 4-vectors).
 
 Evaluation
 ----------
-The dynamics formulas are written once (``SystemSpec._derivative``) and
-run on two number types.  ``SystemSpec.rhs``, the integrator's hot call,
-evaluates them on the marcher's list of Python floats, which costs about
-half of the same arithmetic on numpy scalars.
-``SystemSpec.rhs_columns`` evaluates the same formulas elementwise on
-states given as array columns.  The formulas use only ``+ - * /`` and
-``sqrt``, which IEEE 754 rounds correctly on either type, so a Python
-float result has the bits of the numpy scalar one and of each column.
+``SystemSpec.rhs`` is the one evaluator of the vector field that
+integrations step with.  It runs the formulas on Python floats, which
+costs about half of the same arithmetic on numpy scalars; a batch of
+states calls it once per state.
 """
 
 from __future__ import annotations
@@ -212,6 +208,10 @@ class IntegrationDefaults:
     v_min: float = 1e-5
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not value > 0:
+                raise ConfigError(f"integration {f.name} {value!r} is not positive")
         # error control cannot work below rounding (scipy raises a smaller
         # rtol to this floor), while every output echoes the value asked for
         floor = 100 * np.finfo(float).eps
@@ -277,36 +277,26 @@ class SystemSpec:
         return slice(4, 8) if self.kind == BALL else slice(0, 4)
 
     # -- pointwise evaluators (packed form) -----------------------------
-    def _domain_tests(self, y):
-        """Ball only: (s, center inside the annulus, |(a, a_dot)|^2 finite
-        and away from 0) for a state, or rows of them for states given as
-        columns."""
+    def domain_check(self, y: np.ndarray, t: float = 0.0):
+        """Ball only: raise DomainError unless the center lies in the
+        annulus and |(a, a_dot)|^2 is finite and away from 0."""
+        if self.kind != BALL:
+            return
         s = y[0] * y[0] + y[1] * y[1]
         e = s + y[2] * y[2] + y[3] * y[3]
         rmin, rmax = self.annulus
-        return s, (rmin * rmin <= s) & (s <= rmax * rmax), (e >= 1e-16) & (e < math.inf)
+        if not rmin * rmin <= s <= rmax * rmax:
+            what = (f"center radius {math.sqrt(max(s, 0.0)):.6g} left the annulus "
+                    f"[{rmin}, {rmax}]")
+        elif e < 1e-16:
+            what = "(a, a_dot) collapsed to 0"
+        elif not e < math.inf:
+            what = f"velocity a_dot = ({y[2]:.6g}, {y[3]:.6g}) is not finite"
+        else:
+            return
+        raise DomainError(what, last_state=np.array(y), t=t)
 
-    def domain_check(self, y: np.ndarray, t: float = 0.0):
-        if self.kind == BALL:
-            s, in_annulus, moving = self._domain_tests(y)
-            if not in_annulus:
-                rmin, rmax = self.annulus
-                raise DomainError(
-                    f"center radius {math.sqrt(max(s, 0.0)):.6g} left the annulus "
-                    f"[{rmin}, {rmax}]",
-                    last_state=np.array(y),
-                    t=t,
-                )
-            if not moving:
-                ad = (float(y[2]), float(y[3]))
-                what = (
-                    "(a, a_dot) collapsed to 0"
-                    if s + ad[0] * ad[0] + ad[1] * ad[1] < 1e-16
-                    else f"velocity a_dot = ({ad[0]:.6g}, {ad[1]:.6g}) is not finite"
-                )
-                raise DomainError(what, last_state=np.array(y), t=t)
-
-    def _ball_geometry(self, a1, a2, ad1, ad2, w, sqrt=math.sqrt):
+    def _ball_geometry(self, a1, a2, ad1, ad2, w):
         """(s, n, dn/dt, v_c, omega) of the ball state (a, a_dot, w), with
         omega solved from the rolling constraint, omega = n x v_c + w n."""
         pr = self.profile
@@ -316,7 +306,7 @@ class SystemSpec:
         g1 = 2.0 * fp * a1
         g2 = 2.0 * fp * a2
         N2 = 1.0 + g1 * g1 + g2 * g2
-        N = sqrt(N2)
+        N = math.sqrt(N2)
         n = (-g1 / N, -g2 / N, 1.0 / N)
         ca = a1 * ad1 + a2 * ad2
         dg1 = 2.0 * fp * ad1 + 4.0 * fpp * ca * a1
@@ -335,14 +325,12 @@ class SystemSpec:
         )
         return s, n, nd, vc, om
 
-    def _ball_rates(self, y, sqrt=math.sqrt):
+    def _ball_rates(self, y):
         """Core ball dynamics: returns (addot1, addot2, wdot, mu) where mu
-        is the body-frame rate of the stored attitude Q.  ``sqrt`` is
-        ``np.sqrt`` when y holds states as columns; every other operation
-        is elementwise, so each column gets the scalar call's bits."""
+        is the body-frame rate of the stored attitude Q."""
         pr = self.profile
         a1, a2, ad1, ad2, w = y[0], y[1], y[2], y[3], y[8]
-        s, n, nd, vc, om = self._ball_geometry(a1, a2, ad1, ad2, w, sqrt)
+        s, n, nd, vc, om = self._ball_geometry(a1, a2, ad1, ad2, w)
         k = pr.inertia_ratio
         grav = pr.gravity
         vdn = vc[0] * nd[0] + vc[1] * nd[1] + vc[2] * nd[2]
@@ -364,7 +352,7 @@ class SystemSpec:
             + n[2] * (vc[0] * nd[1] - vc[1] * nd[0])
         )
         # attitude rate in the corotating chart
-        r = sqrt(s)
+        r = math.sqrt(s)
         e1 = (a1 / r, a2 / r)
         chidot = (a1 * ad2 - a2 * ad1) / s
         mu = (
@@ -374,11 +362,14 @@ class SystemSpec:
         )
         return vd1, vd2, wdot, mu
 
-    def _derivative(self, y, sqrt):
-        """Rows of the packed-state time derivative (quaternion slot
-        included), for a state or for states given as columns."""
+    def rhs(self, t: float, y) -> list:
+        """Packed-state time derivative (quaternion slot included) of a
+        list of floats or an array, as a list of Python floats (see the
+        module docstring)."""
+        y = y.tolist() if isinstance(y, np.ndarray) else y
         if self.kind == BALL:
-            vd1, vd2, wdot, mu = self._ball_rates(y, sqrt)
+            self.domain_check(y, t)
+            vd1, vd2, wdot, mu = self._ball_rates(y)
             return [y[2], y[3], vd1, vd2, *_quat_rate(y[4], y[5], y[6], y[7], *mu), wdot]
         o1, o2, o3 = y[4], y[5], y[6]
         I1, I2, I3 = self.inertia.tolist()
@@ -388,28 +379,6 @@ class SystemSpec:
             (I3 - I1) * o3 * o1 / I2,
             (I1 - I2) * o1 * o2 / I3,
         ]
-
-    def rhs(self, t: float, y) -> list:
-        """Packed-state time derivative (quaternion slot included) of a
-        list of floats or an array, as a list of Python floats (see the
-        module docstring)."""
-        yl = y.tolist() if isinstance(y, np.ndarray) else y
-        if self.kind == BALL:
-            self.domain_check(yl, t)
-        return self._derivative(yl, math.sqrt)
-
-    def rhs_columns(self, ys: np.ndarray):
-        """``rhs`` on the states given as the columns of ``ys`` (nstate, n):
-        returns the (nstate, n) derivatives and a boolean (n,) mask of the
-        columns outside the domain, whose derivatives are meaningless.
-        Each column equals the scalar call's result bit for bit."""
-        if self.kind == BALL:
-            _, in_annulus, moving = self._domain_tests(ys)
-            outside = ~(in_annulus & moving)
-        else:
-            outside = np.zeros(ys.shape[1], dtype=bool)
-        with np.errstate(all="ignore"):
-            return np.array(self._derivative(ys, np.sqrt)), outside
 
     def reduce_y(self, y: np.ndarray) -> np.ndarray:
         """Reduced state as a 4-vector (b, w); packed states given as the

@@ -17,14 +17,14 @@ builds no interpolant; its steps are the same either way.
 ``flow_many`` runs many fixed-horizon flows as one lockstep batch over
 packed columns (torchode, Lienen & Günnemann, arXiv:2210.12375): each
 column with its own step size and accept/reject decision, compacted
-away once it finishes or fails.  The field is evaluated once per stage
-for all live columns (``SystemSpec.rhs_columns``) and every sum is the
-marcher's own tableau row, run on one block of all live columns, so a
+away once it finishes or fails.  A column's field is the marcher's own
+``SystemSpec.rhs`` call on the column's floats, and every sum is the
+marcher's tableau row, run on one block of all live columns, so a
 column ends on the bits of ``flow()`` from its start, whatever shares
 its batch.  A column takes its first step from a marcher, and the
 lowest failed column is re-run alone by the marcher, which raises
-``flow()``'s error.  Each numpy operation costs about a scalar field
-call, so the batch pays only with several columns.
+``flow()``'s error.  The block sums cost the same numpy calls at any
+width, so the batch pays only with several columns.
 
 Period detection marches the flow while watching the section function
 sigma(t) = <reduced(t) - reduced(0), v0_hat> (v0 = initial reduced
@@ -134,6 +134,21 @@ def _per_column(fn, *arrays):
     return np.array([fn(*v) for v in zip(*(a.tolist() for a in arrays))])
 
 
+def _fields(spec: SystemSpec, ts, ys):
+    """``spec.rhs`` at each column of ``ys`` (nstate, n) and its time in
+    ``ts``, on the column's Python floats: the (nstate, n) fields and a
+    boolean (n,) mask of the columns outside the domain, whose call raised
+    DomainError and whose fields are left zero."""
+    fs = np.zeros_like(ys)
+    outside = np.zeros(ys.shape[1], dtype=bool)
+    for j, (t, y) in enumerate(zip(ts.tolist(), ys.T.tolist())):
+        try:
+            fs[:, j] = spec.rhs(t, y)
+        except DomainError:
+            outside[j] = True
+    return fs, outside
+
+
 def _initial_step(d0, d1, d2, h0):
     """scipy's ``select_initial_step`` from its norms."""
     if d1 <= 1e-15 and d2 <= 1e-15:
@@ -241,6 +256,9 @@ class _Marcher:
         d0 = _rms([v / s for v, s in zip(y, scale)])
         d1 = _rms([v / s for v, s in zip(f, scale)])
         h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_bound)
+        if not h0 > 0.0:
+            raise _failure(self.spec, "no first step: the field at the start "
+                           "overflows its error scale", self.traj.states[0], 0.0)
         f1 = self._eval(h0, [v + h0 * self.sign * g for v, g in zip(y, f)])
         d2 = _rms([(a - b) / s for a, b, s in zip(f1, f, scale)]) / h0
         return min(100 * h0, _initial_step(d0, d1, d2, h0), t_bound)
@@ -377,9 +395,9 @@ def _lockstep(spec: SystemSpec, ys, ts, rtol, atol):
         h = t_new - t
         K = [[f]]
         outside = np.zeros(idx.size, dtype=bool)
-        for _, row in _STAGES[:_dop.N_STAGES]:
+        for c, row in _STAGES[:_dop.N_STAGES]:
             y_new, = row([y], K, h)
-            k, out_k = spec.rhs_columns(y_new)
+            k, out_k = _fields(spec, t + c * h, y_new)
             outside |= out_k
             K.append([k])
         scale = [atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol]
@@ -396,7 +414,7 @@ def _lockstep(spec: SystemSpec, ys, ts, rtol, atol):
             q = y_acc[spec.quat_slice]
             y_acc[spec.quat_slice] = q / np.sqrt(_sumsq(q))
             y[:, accepted] = y_acc
-            f[:, accepted] = spec.rhs_columns(y_acc)[0]
+            f[:, accepted] = _fields(spec, t_new[accepted], y_acc)[0]
             t[accepted] = t_new[accepted]
         done = accepted & (t >= t_bound)
         out[:, idx[done]] = y[:, done]

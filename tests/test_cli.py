@@ -467,6 +467,14 @@ def test_runtime_error_exit_code(tmp_path, capsys):
     assert "runtime error" in capsys.readouterr().err
 
 
+def test_start_without_a_first_step_exit_code(tmp_path, capsys):
+    # the field at this finite start overflows its error scale
+    doc = dict(BALL_CONFIG, initial_state={"a": [1.0, 0.0], "a_dot": [0.0, 1e75]})
+    config = write_config(tmp_path, doc)
+    assert run_cli("phase", "--config", config, "--out", str(tmp_path)) == 3
+    assert "runtime error: IntegrationError: no first step" in capsys.readouterr().err
+
+
 def test_failed_crossing_refinement_is_typed(tmp_path, capsys, monkeypatch):
     def no_convergence(*args, **kwargs):
         raise RuntimeError("Failed to converge after 100 iterations")

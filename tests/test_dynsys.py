@@ -258,35 +258,39 @@ def test_ball_domain_errors(ball):
         vector_field(at_axis)
 
 
-def test_rhs_columns_equal_scalar_calls_bitwise(ball, rigid):
-    # the scalar call runs the formulas on Python floats, the column form
-    # elementwise on arrays, the reference on numpy scalars: all three
-    # give the same bits, and the mask marks exactly the states whose
-    # scalar call raises DomainError
-    rng = np.random.default_rng(8)
-    n = 200
-    ys = np.column_stack(
-        [ball.pack(random_ball_point(ball, rng)) for _ in range(n)]
-        + [[3.0, 0.0, 0.0, 0.1, 1.0, 0.0, 0.0, 0.0, 0.0],
-           [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
-           [0.5, 0.0, np.inf, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0]]
-    )
-    fs, outside = ball.rhs_columns(ys)
-    assert outside.tolist() == [False] * n + [True, True, True]
-    for j in range(n):
-        f = ball.rhs(0.0, ys[:, j])
-        assert np.array_equal(f, fs[:, j])
-        assert np.array_equal(f, np.array(ball._derivative(ys[:, j], math.sqrt)))
-    for j in (n, n + 1, n + 2):
-        with pytest.raises(DomainError):
-            ball.rhs(0.0, ys[:, j])
-    ys = rng.normal(size=(7, n))
-    fs, outside = rigid.rhs_columns(ys)
-    assert not outside.any()
-    for j in range(n):
-        f = rigid.rhs(0.0, ys[:, j])
-        assert np.array_equal(f, fs[:, j])
-        assert np.array_equal(f, np.array(rigid._derivative(ys[:, j], math.sqrt)))
+@pytest.mark.parametrize("system, y, hexes", [
+    ("ball", [0.9, -0.2, 0.1, 0.35, 1.0, 0.0, 0.0, 0.0, 0.4],
+     ["0x1.999999999999ap-4", "0x1.6666666666666p-2", "-0x1.8fb2311ac42e7p-2",
+      "0x1.5da992a43c412p-4", "0x0.0p+0", "0x1.1399780f2edc6p-2",
+      "-0x1.e36c02c243ca0p-7", "0x1.62a3fd66a4c69p-3", "-0x1.dab174d8c1826p-9"]),
+    ("ball_cubic", [-0.7, 1.1, 0.6, -0.25, 0.5, -0.5, 0.5, 0.5, -0.3],
+     ["0x1.3333333333333p-1", "-0x1.0000000000000p-2", "0x1.0e149489df83fp-1",
+      "-0x1.877fd486cc3c4p-1", "-0x1.da95609e09a1ep-3", "-0x1.b1d2f55a6010ap-2",
+      "-0x1.0f9566003abc0p-9", "-0x1.84d2347eb5945p-3", "-0x1.db305862557e7p-5"]),
+    ("rigid", [1.0, 0.0, 0.0, 0.0, 1.0, 0.2, 0.3],
+     ["-0x0.0p+0", "0x1.0000000000000p-1", "0x1.999999999999ap-4",
+      "0x1.3333333333333p-3", "-0x1.eb851eb851eb8p-5", "0x1.3333333333333p-2",
+      "-0x1.1111111111111p-4"]),
+    ("rigid_unsorted", [0.5, 0.5, -0.5, 0.5, -0.4, 1.3, 0.9],
+     ["0x1.999999999999bp-3", "-0x1.4cccccccccccdp-1", "0x0.0p+0",
+      "0x1.ccccccccccccep-2", "-0x1.2b851eb851eb9p+0", "-0x1.70a3d70a3d70ep-2",
+      "-0x1.8342183421835p-3"]),
+])
+def test_rhs_bits_are_pinned(ball, rigid, system, y, hexes):
+    # the field every integration steps with, to the last bit (signed
+    # zeros included), on a list of floats and on an array alike
+    spec = {
+        "ball": ball,
+        "ball_cubic": make_ball_system(
+            SurfaceProfile((0.1, 0.3, 0.05), gravity=2.0, inertia_ratio=0.5),
+            annulus=(0.1, 3.0)),
+        "rigid": rigid,
+        "rigid_unsorted": make_rigid_body((1.5, 0.7, 2.2)),
+    }[system]
+    for state in (y, np.array(y)):
+        f = spec.rhs(0.0, state)
+        assert all(type(v) is float for v in f)
+        assert [v.hex() for v in f] == hexes
 
 
 @pytest.mark.parametrize("y, annulus, message", [

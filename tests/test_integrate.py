@@ -27,12 +27,14 @@ from reconphase.dynsys import (
     state_distance,
 )
 from reconphase.errors import (
+    ConfigError,
     DomainError,
     IntegrationError,
     NotPeriodicError,
     PeriodNotFoundError,
 )
 from reconphase.integrate import (
+    _fields,
     _lockstep,
     _Marcher,
     _period_search,
@@ -122,6 +124,27 @@ def test_backward_flow_failure_time_is_signed(ball):
     assert exc.value.t == -0.5329057165439738
     assert isinstance(exc.value.__cause__, DomainError)
     assert exc.value.__cause__.t < 0.0
+
+
+@pytest.mark.parametrize("run", ["flow", "flow_many", "phase"])
+@pytest.mark.parametrize("kind", ["ball", "rigid"])
+def test_a_field_beyond_its_error_scale_leaves_no_first_step(kind, run, ball, rigid):
+    # a finite start whose field overflows the first step's error norm
+    # gets step size 0; it fails at t = 0 with a typed error instead of
+    # dividing by that step
+    if kind == "ball":
+        spec, m = ball, ball_point(ball, (1.0, 0.0), (0.0, 1e75))
+    else:
+        spec, m = rigid, rigid_point(rigid, Rotation.identity(), (1e150, 0.2, 0.3))
+    with pytest.raises(IntegrationError, match="^no first step") as exc:
+        if run == "flow":
+            flow(spec, m, 1.0)
+        elif run == "flow_many":
+            flow_many(spec, _packed(spec, [m, m]), np.array([0.0, 1.0]))
+        else:
+            phase(spec, m)
+    assert exc.value.t == 0.0
+    assert np.array_equal(exc.value.last_state.y, m.y)
 
 
 def test_flow_rejects_bad_start(ball):
@@ -242,36 +265,41 @@ def test_flow_many_equals_flow_on_sampler_points(kind, n, data, sampled):
 
 @pytest.mark.parametrize("kind", ["ball", "rigid"])
 def test_flow_many_step_counts_equal_the_marchers(kind, batch_inputs, monkeypatch):
-    # A one-column batch takes its f and first step from a marcher (2
-    # scalar RHS calls), then makes 12 column RHS calls per attempt and,
-    # after each accepted step, one recompute at the renormalized state,
-    # whose input repeats the previous call's outside the quaternion slot.
+    # A one-column batch takes its f and first step from a marcher (2 RHS
+    # calls), then makes 12 column field calls per attempt and, after each
+    # accepted step, one recompute at the renormalized state, whose input
+    # repeats the previous call's outside the quaternion slot.  Every
+    # column field is one SystemSpec.rhs call, with the marcher's time and
+    # state: the batch's RHS calls are the marcher's, in its order.
     spec, ys, ts = batch_inputs[kind, "probe"]
-    calls, scalar_calls = [], []
-    rhs, rhs_columns = SystemSpec.rhs, SystemSpec.rhs_columns
+    calls, rhs_calls = [], []
+    rhs = SystemSpec.rhs
 
-    def counting(self, states):
+    def counting_fields(spec, times, states):
         calls.append(np.array(states))
-        return rhs_columns(self, states)
+        return _fields(spec, times, states)
 
-    def counting_scalar(self, t, y):
-        scalar_calls.append(t)
+    def recording_rhs(self, t, y):
+        rhs_calls.append((t, list(y)))
         return rhs(self, t, y)
 
-    monkeypatch.setattr(SystemSpec, "rhs_columns", counting)
-    monkeypatch.setattr(SystemSpec, "rhs", counting_scalar)
+    monkeypatch.setattr("reconphase.integrate._fields", counting_fields)
+    monkeypatch.setattr(SystemSpec, "rhs", recording_rhs)
     rest = np.ones(spec.nstate, dtype=bool)
     rest[spec.quat_slice] = False
     for j in range(ys.shape[1]):
         calls.clear()
-        scalar_calls.clear()
+        rhs_calls.clear()
         flow_many(spec, ys[:, [j]], ts[[j]])
-        assert len(scalar_calls) == 2
+        batch_rhs_calls = list(rhs_calls)
+        assert len(batch_rhs_calls) == 2 + len(calls)
         accepted = sum(np.array_equal(a[rest], b[rest]) for a, b in zip(calls, calls[1:]))
         rejected, rem = divmod(len(calls) - 13 * accepted, 12)
+        rhs_calls.clear()
         traj = _Marcher(spec, ys[:, j], ts[j], 1e-10, 1e-12).run()
         assert rem == 0
         assert (accepted, rejected) == (traj.n_accepted, traj.n_rejected)
+        assert batch_rhs_calls == rhs_calls
 
 
 def test_flow_many_domain_exit_fails_its_column_only(ball, mball):
@@ -500,6 +528,20 @@ def test_explicit_default_settings_equal_none(kind, ball, rigid, mball, mrigid):
                           flow_trajectory(spec, m, 2.1).states)
     # and a setting that differs from the default does reach the search
     assert find_reduced_period(spec, m, rtol=1e-8).tau != p_none.tau
+
+
+@pytest.mark.parametrize("setting", [
+    dict(atol=0.0), dict(atol=-1e-12), dict(rtol=math.nan), dict(t_max=-1.0),
+    dict(tol_phase=math.nan), dict(tol_closure=0.0), dict(min_period=-1e-3),
+    dict(v_min=math.nan),
+], ids=lambda d: "{}={}".format(*next(iter(d.items()))))
+def test_settings_that_are_not_positive_are_refused(setting, ball, mball):
+    # the config file refuses these values; a per-call override does too,
+    # before any integration (tol_phase = inf stays valid: criterion 11)
+    with pytest.raises(ConfigError, match="is not positive"):
+        IntegrationDefaults(**setting)
+    with pytest.raises(ConfigError, match="is not positive"):
+        phase(ball, mball, **setting)
 
 
 def test_unknown_setting_raises_type_error(ball, mball):
