@@ -469,9 +469,12 @@ def _period_search(spec: SystemSpec, m: PhasePoint, s: IntegrationDefaults):
     # the domain test comes first: the gate below is arithmetic on y0
     y0 = _start_state(spec, spec.pack(m))
     rp0 = spec.reduce_y(y0)
-    scale = max(1.0, float(np.linalg.norm(rp0)))
-    v0 = spec.reduced_velocity(y0)
-    speed = float(np.linalg.norm(v0))
+    # a reduced velocity or norm that overflows reads inf or nan, without
+    # a warning: the march from such a start then fails as flow() does
+    with np.errstate(over="ignore", invalid="ignore"):
+        v0 = spec.reduced_velocity(y0)
+        scale = max(1.0, float(np.linalg.norm(rp0)))
+        speed = float(np.linalg.norm(v0))
     if speed < s.v_min * scale:
         raise PeriodNotFoundError(
             f"reduced speed {speed:.3e} is below v_min = {s.v_min * scale:.3e}: "

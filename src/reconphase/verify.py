@@ -22,10 +22,9 @@ translated, framed points) are always fresh computations.
 
 The rotation-angle oracle (:func:`montgomery_oracle`) re-derives the
 rigid body's per-period rotation about its spatial momentum axis from
-scratch — its own integrator, a one-turn azimuth event and the area
-integrated along the loop — so that agreement with ``phase()`` genuinely
-cross-validates two code paths.  Its loop field runs on Python floats;
-each evaluation has the bits of the field's ``np.cross`` form.
+scratch — the momentum loop's period and enclosed area in closed form,
+as complete elliptic integrals — so that agreement with ``phase()``
+genuinely cross-validates two code paths: the oracle integrates nothing.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .dynsys import (
     BALL,
@@ -535,10 +533,10 @@ def montgomery_oracle(inertia, m: PhasePoint, period: float = None) -> float:
         angle = 2 H tau / ||L||  -  (signed solid angle of the
                  body-momentum loop about its encircled axis)   (mod 2 pi)
 
-    Everything is recomputed from scratch here: the unit momentum loop is
-    integrated with its own solver together with its azimuth about the
-    encircled axis and the enclosed spherical area, and stopped when the
-    azimuth has made one full turn (:func:`momentum_loop_area`).
+    Everything is recomputed from scratch here, with no integration: the
+    period of the unit momentum loop and the spherical area it encloses
+    about the encircled axis are complete elliptic integrals of Euler's
+    solution (:func:`momentum_loop_area`).
 
     Conventions: the loop's solid angle is taken about the stable axis it
     encircles (+-the smallest-moment axis for the short-axis family,
@@ -563,39 +561,28 @@ def montgomery_oracle(inertia, m: PhasePoint, period: float = None) -> float:
     return (2.0 * H * tau_loop / L - area) % TWO_PI
 
 
-def _loop_field(inertia, L, pole, reverse):
-    """The (u, phi, A) field of :func:`momentum_loop_area` on Python floats.
+def _cel(kc, p):
+    """Bulirsch's complete elliptic integral cel(kc, p, 1, 1) for p > 0,
 
-    It evaluates
+        int_0^{pi/2} dth / ((cos^2 th + p sin^2 th) sqrt(cos^2 th + kc^2 sin^2 th)),
 
-        du = sign L u x (u / I),   cos_th = pole.u,
-        dphi = (u x du).pole / (1 - cos_th**2),   dA = (1 - cos_th) dphi
-
-    with each cross product component written in ``np.cross``'s order
-    (x_b y_c - x_c y_b for component a, with b, c the next indices
-    cyclically) and ``pole.x`` read as +-x_a for the pole +-e_a, which is
-    exact.  Every evaluation therefore has the bits of the numpy form of
-    these formulas, at a fraction of its cost.
-    """
-    i1, i2, i3 = inertia.tolist()
-    a = int(np.flatnonzero(pole)[0])
-    b, c = (a + 1) % 3, (a + 2) % 3
-    s = float(pole[a])
-    sL = (-1.0 if reverse else 1.0) * L
-
-    def rhs(t, y):
-        u = y[0:3].tolist()
-        u1, u2, u3 = u
-        v1, v2, v3 = u1 / i1, u2 / i2, u3 / i3
-        du = (sL * (u2 * v3 - u3 * v2),
-              sL * (u3 * v1 - u1 * v3),
-              sL * (u1 * v2 - u2 * v1))
-        cos_th = s * u[a]
-        # cos_th ** 2, not cos_th * cos_th: the two differ in the last bit
-        dphi = s * (u[b] * du[c] - u[c] * du[b]) / (1.0 - cos_th ** 2)
-        return np.array([*du, dphi, (1.0 - cos_th) * dphi])
-
-    return rhs
+    by his AGM loop (Numer. Math. 13 (1969) 305): cel(kc, 1) is K(k) with
+    k^2 = 1 - kc^2, and cel(kc, p) the third kind with n = 1 - p."""
+    e = kc
+    p = math.sqrt(p)
+    a, b, em = 1.0, 1.0 / p, 1.0
+    while True:
+        f = a
+        a += b / p
+        g = e / p
+        b = 2.0 * (b + f * g)
+        p += g
+        g = em
+        em += kc
+        if abs(g - kc) <= 1e-8 * g:
+            return 0.5 * math.pi * (b + a * em) / (em * (em + p))
+        kc = 2.0 * math.sqrt(e)
+        e = kc * em
 
 
 def momentum_loop_area(inertia, m: PhasePoint, reverse: bool = False):
@@ -603,36 +590,31 @@ def momentum_loop_area(inertia, m: PhasePoint, reverse: bool = False):
     area it encloses about the family pole (right-handed about the pole;
     ``reverse=True`` traverses the loop backward, negating the area).
 
-    One integration of (u, phi, A): the unit momentum u, its azimuth phi
-    about the pole and the area A' = (1 - pole.u) phi', ended by the event
-    |phi| = 2 pi.  About the encircled axis e_a,
-    phi' = L u_a sum_{b != a} u_b^2 (1/I_b - 1/I_a) / (1 - u_a^2), which
-    keeps one sign along the loop (I_a is strictly extreme and u_a never
-    changes sign), so one azimuth turn is one period of u.  The field
-    (:func:`_loop_field`) runs on Python floats with the bits of its
-    ``np.cross`` form.
+    Both are complete elliptic integrals of Euler's cn/sn/dn solution
+    (Landau & Lifshitz, Mechanics, sec. 37), evaluated by :func:`_cel`:
+    the period is 4 K(k) / lam and the area a third-kind integral.  With
+    p the pole's axis, q the other extreme axis and mid the middle one,
+    x_p = 2 H I_p - M^2 and x_q = M^2 - 2 H I_q are summed without the
+    terms that vanish, so nothing cancels near the pole, and nothing
+    divides by x_p, which is zero on the pole itself: there the period is
+    that of small oscillations and the area zero.
     """
-    inertia, L, _, u0, pole = _momentum_loop(inertia, m)
-
-    def one_turn(t, y):
-        return abs(y[3]) - TWO_PI
-
-    one_turn.terminal = True
-
-    sp = L * float(np.linalg.norm(np.cross(u0, u0 / inertia)))
-    if sp < 1e-12:
-        raise OracleUnavailableError("stationary momentum loop without period")
-
-    # crude window of several symmetric-top precession periods: only the
-    # integration bound, the one-turn event ends the loop well before it
-    t_guess = TWO_PI / sp * max(inertia) / min(inertia) * 4.0 + 1.0
-    sol = solve_ivp(
-        _loop_field(inertia, L, pole, reverse), (0.0, 3.0 * t_guess),
-        np.append(u0, (0.0, 0.0)),
-        method="DOP853", rtol=1e-12, atol=1e-14, events=one_turn,
-    )
-    if sol.status != 1:
-        raise OracleUnavailableError(
-            "no closed momentum loop found (separatrix or integration range)"
-        )
-    return float(sol.t_events[0][0]), float(sol.y_events[0][0][4])
+    inertia, _, _, _, pole = _momentum_loop(inertia, m)
+    order = np.argsort(inertia, kind="stable")
+    p, mid = int(np.flatnonzero(pole)[0]), int(order[1])
+    q = 3 - p - mid
+    I = inertia.tolist()
+    L2 = ((inertia * m.omega_body) ** 2).tolist()
+    Ip, Iq, Im = I[p], I[q], I[mid]
+    M2 = sum(L2)
+    M = math.sqrt(M2)
+    x_p = sum(L2[i] * (Ip / I[i] - 1.0) for i in range(3) if i != p)
+    x_q = sum(L2[i] * (1.0 - Iq / I[i]) for i in range(3) if i != q)
+    lam = math.sqrt((Ip - Im) * x_q / (I[0] * I[1] * I[2]))
+    kc = math.sqrt(1.0 - (Im - Iq) * x_p / ((Ip - Im) * x_q))
+    c = Iq * x_p / (M2 * (Ip - Iq))
+    n = 1.0 + (1.0 - c) * (Im - Iq) * (Ip - Iq) * M2 / ((Ip - Im) * x_q * Iq)
+    T = 4.0 * _cel(kc, 1.0) / lam
+    area = math.copysign(TWO_PI, Ip - Iq) - (
+        4.0 * M * (Ip - Iq) * _cel(kc, n) / (lam * Ip * Iq) - x_p * T / (Ip * M))
+    return T, -area if reverse else area

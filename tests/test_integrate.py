@@ -131,20 +131,40 @@ def test_backward_flow_failure_time_is_signed(ball):
 def test_a_field_beyond_its_error_scale_leaves_no_first_step(kind, run, ball, rigid):
     # a finite start whose field overflows the first step's error norm
     # gets step size 0; it fails at t = 0 with a typed error instead of
-    # dividing by that step
+    # dividing by that step.  On the later starts the period search's
+    # norm of the reduced velocity overflows too, and on the last rigid
+    # one the reduced velocity itself
     if kind == "ball":
-        spec, m = ball, ball_point(ball, (1.0, 0.0), (0.0, 1e75))
+        spec = ball
+        starts = [ball_point(ball, (1.0, 0.0), (0.0, a_dot)) for a_dot in (1e75, 1e78)]
     else:
-        spec, m = rigid, rigid_point(rigid, Rotation.identity(), (1e150, 0.2, 0.3))
-    with pytest.raises(IntegrationError, match="^no first step") as exc:
-        if run == "flow":
-            flow(spec, m, 1.0)
-        elif run == "flow_many":
-            flow_many(spec, _packed(spec, [m, m]), np.array([0.0, 1.0]))
-        else:
-            phase(spec, m)
-    assert exc.value.t == 0.0
-    assert np.array_equal(exc.value.last_state.y, m.y)
+        spec = rigid
+        starts = [rigid_point(rigid, Rotation.identity(), omega)
+                  for omega in ((1e150, 0.2, 0.3), (1e150,) * 3, (1e160,) * 3)]
+    for m in starts:
+        with pytest.raises(IntegrationError, match="^no first step") as exc:
+            if run == "flow":
+                flow(spec, m, 1.0)
+            elif run == "flow_many":
+                flow_many(spec, _packed(spec, [m, m]), np.array([0.0, 1.0]))
+            else:
+                phase(spec, m)
+        assert exc.value.t == 0.0
+        assert np.array_equal(exc.value.last_state.y, m.y)
+
+
+def test_phase_from_an_overflowing_reduced_speed_fails_as_flow_does(ball):
+    # the reduced velocity's sum of squares overflows; the first step is
+    # taken and leaves the annulus, and phase() reports flow()'s error
+    m = ball_point(ball, (0.9, -0.2), (0.0, 1e60), w=0.4)
+    errors = []
+    for run in (lambda: flow(ball, m, 1.0), lambda: phase(ball, m)):
+        with pytest.raises(IntegrationError, match="^trajectory left the domain") as exc:
+            run()
+        errors.append(exc.value)
+    assert errors[0].t == errors[1].t > 0.0
+    assert str(errors[0]) == str(errors[1])
+    assert np.array_equal(errors[0].last_state.y, errors[1].last_state.y)
 
 
 def test_flow_rejects_bad_start(ball):

@@ -22,7 +22,7 @@ from reconphase.errors import (
     ReconphaseError,
     SamplerExhaustedError,
 )
-from reconphase.liegroup import Rotation
+from reconphase.liegroup import GroupElement, Rotation, group_distance
 from reconphase.reconstruct import conjugacy_residuals, phase, torus_embed
 from reconphase.verify import (
     ALL_CHECKS,
@@ -439,6 +439,9 @@ def test_oracle_agrees_with_phase_both_families(rigid_spec, rigid_samples):
     # the sampled (1, 2, 3) orbits, plus each family on bodies whose
     # principal moments are not listed in increasing order
     cases = [(rigid_spec, m) for m in rigid_samples]
+    # and a loop next to the pole
+    cases.append((rigid_spec, rigid_point(rigid_spec, Rotation.identity(),
+                                          (1e-4, 1e-4, 0.9))))
     for inertia in ((3.0, 2.0, 1.0), (2.0, 1.0, 3.0), (1.0, 3.0, 2.0), (1.0, 1.0, 3.0)):
         spec = make_rigid_body(inertia)
         for omega in ((1.0, 0.2, 0.3), (0.2, 0.3, 1.0), (0.3, 1.0, 0.2)):
@@ -454,14 +457,37 @@ def test_oracle_agrees_with_phase_both_families(rigid_spec, rigid_samples):
 def test_oracle_symmetric_top_closed_form():
     # inertia (1, 2, 2): the momentum loop precesses uniformly about e1
     # with period 2 pi I2 / (|I2 - I1| |Omega_1|), and the per-period
-    # rotation angle is ||L|| tau / I2 (mod 2 pi)
+    # rotation angle is ||L|| tau / I2 (mod 2 pi); the second loop lies
+    # next to the pole
     spec = make_rigid_body((1.0, 2.0, 2.0))
-    omega = np.array([0.8, 0.3, -0.25])
-    m = rigid_point(spec, Rotation.identity(), omega)
-    L = float(np.linalg.norm(spec.inertia * omega))
-    tau = TWO_PI * 2.0 / (1.0 * 0.8)
-    expected = (L * tau / 2.0) % TWO_PI
-    assert wrap_angle(montgomery_oracle(spec.inertia, m) - expected) < 1e-8
+    for omega in ((0.8, 0.3, -0.25), (0.8, 1e-5, 1e-5)):
+        omega = np.array(omega)
+        m = rigid_point(spec, Rotation.identity(), omega)
+        L = float(np.linalg.norm(spec.inertia * omega))
+        tau = TWO_PI * 2.0 / (1.0 * 0.8)
+        expected = (L * tau / 2.0) % TWO_PI
+        assert wrap_angle(montgomery_oracle(spec.inertia, m) - expected) < 1e-8
+
+
+@pytest.mark.parametrize("inertia", [(1.0, 1.0, 2.0), (2.0, 2.0, 1.0), (1.5, 1.5, 0.7)],
+                         ids=["112", "221", "1.5-1.5-0.7"])
+def test_symmetric_tops_match_their_elementary_phase(inertia):
+    # I1 = I2: Omega_3 is constant, the loop's period is
+    # 2 pi I1 / |(I3 - I1) Omega_3|, and gamma is the rotation by
+    # tau |L| / I1 about the spatial momentum axis
+    spec = make_rigid_body(inertia)
+    i1, _, i3 = inertia
+    for m in sample_rigid(spec, np.random.default_rng(0), 4):
+        tau = TWO_PI * i1 / abs((i3 - i1) * m.omega_body[2])
+        L_body = spec.inertia * m.omega_body
+        L = float(np.linalg.norm(L_body))
+        angle = tau * L / i1
+        gamma = GroupElement(0.0, Rotation.from_axis_angle(m.Q.apply(L_body / L), angle),
+                             spec.group)
+        p = phase(spec, m)
+        assert abs(p.tau - tau) < 1e-10 * tau
+        assert group_distance(p.gamma, gamma) < 1e-9
+        assert wrap_angle(montgomery_oracle(spec.inertia, m) - angle) < 1e-12
 
 
 def test_oracle_point_loop_requires_period(rigid_spec):
@@ -498,33 +524,10 @@ def test_loop_reversal_negates_enclosed_area(rigid_spec, rigid_samples):
     assert abs(area_f) > 1e-3  # a genuine loop, not a degenerate point
 
 
-@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
-@pytest.mark.parametrize("inertia", [(1.0, 2.0, 3.0), (2.0, 3.0, 1.0)], ids=["123", "231"])
-def test_loop_field_has_the_bits_of_its_np_cross_form(inertia, reverse):
-    # the float field against the numpy form it replaces, on random unit
-    # momenta about both extreme axes with either sign of the pole
-    inertia = np.array(inertia)
-    order = np.argsort(inertia)
-    sign = -1.0 if reverse else 1.0
-    rng = np.random.default_rng(1401)
-    for axis, pole_sign in itertools.product((order[0], order[2]), (1.0, -1.0)):
-        pole = pole_sign * np.eye(3)[axis]
-        L = float(rng.uniform(0.5, 2.0))
-        field = verify._loop_field(inertia, L, pole, reverse)
-        for _ in range(1000):
-            u = rng.normal(size=3)
-            u /= np.linalg.norm(u)
-            y = np.append(u, rng.normal(size=2))
-            du = sign * L * np.cross(u, u / inertia)
-            cos_th = float(pole @ u)
-            dphi = float(np.cross(u, du) @ pole) / (1.0 - cos_th**2)
-            expected = np.append(du, (dphi, (1.0 - cos_th) * dphi))
-            assert field(0.0, y).tobytes() == expected.tobytes()
-
-
 # criterion 08's orbits of the (1, 2, 3) body (sample_rigid, seed 109): body
 # angular velocity, then montgomery_oracle and momentum_loop_area forward and
-# reversed, as the numpy form of the loop field computes them
+# reversed, as an integration of the loop (DOP853, rtol 1e-12, atol 1e-14,
+# ended by a one-turn azimuth event) recorded them
 ORACLE_PINS = [
     ((0.6168166538580723, 0.4137812683958959, 0.0001973374641500848),
      0.7789922234828293, (16.0437190646659, -2.108675272011857),
@@ -559,12 +562,66 @@ ORACLE_PINS = [
 ]
 
 
+# the closed form's own floats on the same orbits: montgomery_oracle, then
+# the period and area of momentum_loop_area
+CLOSED_FORM_PINS = [
+    (0.7789922234778661, 16.04371906465947, -2.108675272011398),
+    (0.9153549016974702, 22.80992907851686, 0.3712969886396449),
+    (4.794528609335005, 13.348317665202265, -0.24909478750963565),
+    (0.24130523997966957, 13.043387502184922, 0.1046601795419404),
+    (5.08799346133069, 13.375490294353277, -0.587278357095089),
+    (3.5264934855721606, 27.41342341119157, 1.1196717393949962),
+    (1.0720327435626906, 19.33329692692138, -2.261008337433334),
+    (2.260003262960705, 26.548284495975977, 0.8059556353308901),
+    (4.653492522245946, 7.7628722025542345, -0.0709924633795378),
+    (0.3286943591476392, 17.96401280803018, 0.1413165158410079),
+]
+
+
 def test_oracle_floats_on_criterion_08_orbits_are_pinned(rigid_spec):
-    for omega, angle, forward, backward in ORACLE_PINS:
+    for (omega, angle, forward, backward), pins in zip(ORACLE_PINS, CLOSED_FORM_PINS):
         m = rigid_point(rigid_spec, Rotation.identity(), omega)
-        assert montgomery_oracle(rigid_spec.inertia, m) == angle
-        assert momentum_loop_area(rigid_spec.inertia, m) == forward
-        assert momentum_loop_area(rigid_spec.inertia, m, reverse=True) == backward
+        got = montgomery_oracle(rigid_spec.inertia, m)
+        tau, area = momentum_loop_area(rigid_spec.inertia, m)
+        assert (got, tau, area) == pins
+        assert momentum_loop_area(rigid_spec.inertia, m, reverse=True) == (tau, -area)
+        # the loop integration's record: measured 2.2e-11 rad in angle,
+        # 6.1e-11 in period and 2.2e-12 in area
+        assert wrap_angle(got - angle) < 1e-10
+        for (tau_i, area_i), sign in ((forward, 1.0), (backward, -1.0)):
+            assert abs(tau - tau_i) < 1e-10
+            assert abs(sign * area - area_i) < 1e-11
+
+
+@pytest.mark.parametrize("axis", [0, 2], ids=["smallest", "largest"])
+def test_point_loop_has_the_small_oscillation_period(rigid_spec, axis):
+    # momentum on the pole: the loop is the limit of the small loops about
+    # it, whose rate is |L| sqrt((1/I_a - 1/I_b)(1/I_a - 1/I_c)), and
+    # encloses no area
+    omega = np.zeros(3)
+    omega[axis] = 0.9
+    m = rigid_point(rigid_spec, Rotation.identity(), omega)
+    tau, area = momentum_loop_area(rigid_spec.inertia, m)
+    i_a, i_b, i_c = np.roll(rigid_spec.inertia, -axis)
+    rate = 0.9 * i_a * math.sqrt((1.0 / i_a - 1.0 / i_b) * (1.0 / i_a - 1.0 / i_c))
+    assert abs(tau - TWO_PI / rate) < 1e-14 * tau
+    assert abs(area) < 1e-14
+
+
+def test_cel_matches_carlson_forms():
+    # K = R_F(0, kc^2, 1), and the third kind at n = 1 - p is
+    # R_F + (n/3) R_J(0, kc^2, 1, p), from scipy as the reference.  For
+    # large p the two terms cancel, so the reference itself is only good
+    # to a few ulps of the larger term: measured 5.3e-16 of |R_F| + |(n/3) R_J|
+    # (and 2.9e-16 relative for K) on 2000 such draws
+    from scipy import special
+
+    rng = np.random.default_rng(1601)
+    for kc, p in zip(10.0 ** rng.uniform(-6.0, 0.0, 500), 10.0 ** rng.uniform(0.0, 6.0, 500)):
+        rf = special.elliprf(0.0, kc * kc, 1.0)
+        rj = (1.0 - p) / 3.0 * special.elliprj(0.0, kc * kc, 1.0, p)
+        assert abs(verify._cel(kc, 1.0) - rf) < 1e-15 * rf
+        assert abs(verify._cel(kc, p) - (rf + rj)) < 2e-15 * (rf + abs(rj))
 
 
 def test_loop_area_without_momentum_is_unavailable(rigid_spec):
