@@ -282,8 +282,11 @@ class SystemSpec:
         annulus and |(a, a_dot)|^2 is finite and away from 0."""
         if self.kind != BALL:
             return
-        s = y[0] * y[0] + y[1] * y[1]
-        e = s + y[2] * y[2] + y[3] * y[3]
+        # on Python floats, where a square too large for a float reads inf
+        # without a warning, as in rhs
+        a1, a2, ad1, ad2 = y[:4].tolist() if isinstance(y, np.ndarray) else y[:4]
+        s = a1 * a1 + a2 * a2
+        e = s + ad1 * ad1 + ad2 * ad2
         rmin, rmax = self.annulus
         if not rmin * rmin <= s <= rmax * rmax:
             what = (f"center radius {math.sqrt(max(s, 0.0)):.6g} left the annulus "
@@ -291,7 +294,11 @@ class SystemSpec:
         elif e < 1e-16:
             what = "(a, a_dot) collapsed to 0"
         elif not e < math.inf:
-            what = f"velocity a_dot = ({y[2]:.6g}, {y[3]:.6g}) is not finite"
+            velocity = f"velocity a_dot = ({ad1:.6g}, {ad2:.6g})"
+            if math.isfinite(ad1) and math.isfinite(ad2):
+                what = f"{velocity} is too large: |(a, a_dot)|^2 overflows"
+            else:
+                what = f"{velocity} is not finite"
         else:
             return
         raise DomainError(what, last_state=np.array(y), t=t)

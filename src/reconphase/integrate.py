@@ -4,9 +4,12 @@ only: it writes no files (``cli`` owns the output formats).
 
 One rule integrates: scipy's DOP853 (Hairer, Nørsett & Wanner, *Solving
 ODEs I*, §II.6: its tableau, first step, error norm and step factors)
-with every sum in one fixed order.  ``_Marcher`` runs it on one state
-of Python floats, one generated comprehension per tableau row, for
-``flow()``, ``flow_trajectory`` and the period search.  The attitude
+with every sum in one fixed order.  The module imports no scipy: the
+tableau (``_dop853``), the dense output (``_Segment``) and ``brentq`` are
+owned copies of scipy 1.17.1's, with its arithmetic in its order, so
+they give its bits.  ``_Marcher`` runs the rule on one state of Python
+floats, one generated comprehension per tableau row, for ``flow()``,
+``flow_trajectory`` and the period search.  The attitude
 quaternion is renormalized after every accepted step.  Callers that
 keep a trajectory also get each step's dense interpolant (scipy's, from
 three extra stages) with a linear ramp to the renormalized endpoint:
@@ -48,10 +51,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate._ivp import dop853_coefficients as _dop
-from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY, Dop853DenseOutput
-from scipy.optimize import brentq
 
+from . import _dop853 as _dop
 from .dynsys import IntegrationDefaults, PhasePoint, SystemSpec
 from .errors import (
     DomainError,
@@ -114,6 +115,10 @@ _D_ROWS = _rows(map(_terms, _dop.D), "x * ({acc})")
 _E5_ROW, _E3_ROW = _rows(map(_terms, (_dop.E5, _dop.E3)), "({acc}) / v")  # y = scale
 # DOP853's error estimator is of order 7
 _ERROR_EXPONENT = -1.0 / 8.0
+# scipy's step-size factor: safety, and the bounds of one change
+SAFETY = 0.9
+MIN_FACTOR = 0.2
+MAX_FACTOR = 10
 
 
 def _sumsq(x):
@@ -172,6 +177,31 @@ def _step_factor(norm, retried):
         factor = min(MAX_FACTOR, SAFETY * norm ** _ERROR_EXPONENT)
         return min(1.0, factor) if retried else factor
     return max(MIN_FACTOR, SAFETY * norm ** _ERROR_EXPONENT)
+
+
+class _Segment:
+    """One step's interpolant on [t_old, t]: y_old plus the rows F of
+    ``_dense_output_impl``, evaluated by scipy's ``Dop853DenseOutput``
+    arithmetic in its order.  A scalar time gives the (nstate,) state, a
+    1-D array of times the (nstate, n) columns."""
+
+    def __init__(self, t_old, t, y_old, F):
+        self.t_old, self.t, self.h = t_old, t, t - t_old
+        self.y_old, self.F = y_old, F
+
+    def __call__(self, t):
+        t = np.asarray(t)
+        x = (t - self.t_old) / self.h
+        if t.ndim == 0:
+            y = np.zeros_like(self.y_old)
+        else:
+            x = x[:, None]
+            y = np.zeros((len(x), len(self.y_old)))
+        for i, f in enumerate(reversed(self.F)):
+            y += f
+            y *= x if i % 2 == 0 else 1 - x
+        y += self.y_old
+        return y.T
 
 
 @dataclass
@@ -321,7 +351,7 @@ class _Marcher:
              [h * f - d for f, d in zip(K[0], dy)],
              [2 * d - h * (g + f) for d, g, f in zip(dy, K[_dop.N_STAGES], K[0])],
              *(row(y, K, h) for row in _D_ROWS)]
-        dense = Dop853DenseOutput(t, t_new, np.array(y), np.array(F))
+        dense = _Segment(t, t_new, np.array(y), np.array(F))
         self.traj.segments.append(dense)
         return dense
 
@@ -463,6 +493,61 @@ class PeriodResult:
     crossing_refinement_iterations: int
 
 
+def brentq(f, xa, xb, xtol, rtol, maxiter=100):
+    """A root of f in the bracket [xa, xb] by Brent's method: scipy
+    1.17.1's ``brentq.c`` on Python floats, step for step.  Returns (root,
+    iterations); a root at an end of the bracket takes 0 iterations (scipy
+    reports an unset count there).  Raises ValueError when f(xa) and f(xb)
+    have one sign, and RuntimeError when a value of f is NaN or maxiter
+    iterations do not converge."""
+
+    def value(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise RuntimeError(f"The function value at x={x} is NaN; "
+                               "solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre, 0
+    if fcur == 0.0:
+        return xcur, 0
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for i in range(1, maxiter + 1):
+        if fpre != 0.0 and fcur != 0.0 and (
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, i
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # a good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis  # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
 def _period_search(spec: SystemSpec, m: PhasePoint, s: IntegrationDefaults):
     """Core search at the settings ``s``; returns (PeriodResult, trajectory
     covering [0, tau])."""
@@ -509,9 +594,9 @@ def _period_search(spec: SystemSpec, m: PhasePoint, s: IntegrationDefaults):
             if ts[i] <= s.min_period:
                 continue
             try:
-                t_star, rr = brentq(
+                t_star, iterations = brentq(
                     lambda t: float(sig(np.array([t]))[0]),
-                    ts[i - 1], ts[i], xtol=1e-13, rtol=1e-15, full_output=True,
+                    ts[i - 1], ts[i], xtol=1e-13, rtol=1e-15,
                 )
             except RuntimeError as e:
                 raise SectionRefinementError(
@@ -524,7 +609,7 @@ def _period_search(spec: SystemSpec, m: PhasePoint, s: IntegrationDefaults):
             residual = float(np.linalg.norm(spec.reduce_y(seg(t_star)) - rp0))
             if residual < s.tol_closure * scale:
                 return (
-                    PeriodResult(float(t_star), residual, int(rr.iterations)),
+                    PeriodResult(t_star, residual, iterations),
                     traj,
                 )
             best_residual = min(best_residual, residual)

@@ -37,7 +37,6 @@ from types import MappingProxyType
 from typing import Mapping, Optional
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .dynsys import BALL, PhasePoint, SystemSpec, act, state_distance
 from .errors import DomainError, PhaseInconsistencyError
@@ -323,9 +322,77 @@ def reduced_orbit_distance(spec: SystemSpec, p: PhaseResult, m2: PhasePoint):
     h = ts[1]
     # refine the offset s from the grid node: the bounded search stops at
     # sqrt(eps)|s| + xatol/3, which is ~1e-8 in t itself but not in s
-    res = minimize_scalar(lambda s: dist(ts[i] + s), bounds=(-h, h),
-                          method="bounded", options={"xatol": 1e-13})
-    return float(res.fun), float((ts[i] + res.x) % p.tau)
+    s, d = _bounded_min(lambda s: dist(ts[i] + s), -h, h, xatol=1e-13)
+    return d, float((ts[i] + s) % p.tau)
+
+
+def _bounded_min(func, x1, x2, xatol):
+    """Minimum of func on [x1, x2] by Brent's bounded method (golden
+    sections and parabolic steps): scipy 1.17.1's
+    ``_minimize_scalar_bounded`` on Python floats, step for step, with its
+    default budget of 500 calls.  Returns (x, func(x)), scipy's ``res.x``
+    and ``res.fun``."""
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = float(x1), float(x2)
+    fulc = a + golden_mean * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabolic fit
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm - xf >= 0.0 else -tol1
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+        step = max(abs(rat), tol1)
+        x = xf + (step if rat >= 0.0 else -step)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:
+            break
+    return xf, fx
 
 
 def same_petal(

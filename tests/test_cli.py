@@ -6,6 +6,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 from dataclasses import asdict
 
 import numpy as np
@@ -14,7 +16,7 @@ import pytest
 import reconphase.cli as cli
 import reconphase.config as cfg
 import reconphase.integrate as integrate
-from reconphase import BALL, ConfigError, IntegrationDefaults
+from reconphase import BALL, ConfigError, IntegrationDefaults, SystemSpec
 from reconphase.reconstruct import conjugacy_residuals, phase, torus_embed
 from reconphase.verify import CheckReport
 
@@ -487,6 +489,50 @@ def test_failed_crossing_refinement_is_typed(tmp_path, capsys, monkeypatch):
     assert re.search(r"runtime error: SectionRefinementError: section crossing "
                      r"in \[\d\S*, \d\S*\] was not refined", err)
     assert "Failed to converge after 100 iterations" in err
+
+
+def test_nan_section_value_in_the_refinement_is_typed(tmp_path, capsys, monkeypatch):
+    # the section function reads NaN at the refinement's one-point time
+    # arrays only: brentq raises RuntimeError, which the period search
+    # types as SectionRefinementError (exit 3)
+    reduce_y = SystemSpec.reduce_y
+
+    def nan_at_one_point(self, y):
+        r = reduce_y(self, y)
+        return np.full_like(r, np.nan) if r.ndim == 2 and r.shape[1] == 1 else r
+
+    monkeypatch.setattr(SystemSpec, "reduce_y", nan_at_one_point)
+    config = write_config(tmp_path, BALL_CONFIG)
+    assert run_cli("phase", "--config", config, "--out", str(tmp_path)) == 3
+    err = capsys.readouterr().err
+    assert re.search(r"runtime error: SectionRefinementError: section crossing "
+                     r"in \[\d\S*, \d\S*\] was not refined: The function value "
+                     r"at x=\d\S* is NaN; solver cannot continue.", err)
+
+
+def test_the_runtime_loads_no_scipy():
+    # a fresh interpreter runs the CLI import, one phase(), one flow_many
+    # batch and one orbit distance without importing any scipy module
+    code = """
+import sys
+import numpy as np
+import reconphase.cli
+from reconphase import (
+    ball_point, flow_many, make_ball_system, phase, reduced_orbit_distance,
+    SurfaceProfile,
+)
+spec = make_ball_system(SurfaceProfile((0.0, 0.5)))
+m = ball_point(spec, (0.9, -0.2), (0.1, 0.35), w=0.4)
+p = phase(spec, m)
+flow_many(spec, np.column_stack([m.y, m.y]), np.array([0.5, 1.0]))
+reduced_orbit_distance(spec, p, p._trajectory.eval(0.3 * p.tau))
+print(sorted(k for k in sys.modules if k.startswith("scipy")))
+"""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout == "[]\n"
 
 
 def test_sampler_exhaustion_exit_code(tmp_path, capsys):

@@ -308,6 +308,10 @@ def test_rhs_bits_are_pinned(ball, rigid, system, y, hexes):
      "velocity a_dot = (nan, 0) is not finite"),
     ([0.5, 0.0, np.inf, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0], (0.2, 2.5),
      "velocity a_dot = (inf, 0) is not finite"),
+    ([1.0, 0.0, 0.0, 1e160, 1.0, 0.0, 0.0, 0.0, 0.0], (0.2, 2.5),
+     "velocity a_dot = (0, 1e+160) is too large: |(a, a_dot)|^2 overflows"),
+    ([1.0, 0.0, 1e200, 1e200, 1.0, 0.0, 0.0, 0.0, 0.0], (0.2, 2.5),
+     "velocity a_dot = (1e+200, 1e+200) is too large: |(a, a_dot)|^2 overflows"),
 ])
 def test_rhs_domain_error_payload(ball, y, annulus, message):
     # the scalar call tests the domain on Python floats: its message,

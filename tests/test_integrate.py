@@ -38,6 +38,7 @@ from reconphase.integrate import (
     _lockstep,
     _Marcher,
     _period_search,
+    brentq,
     find_reduced_period,
     flow,
     flow_many,
@@ -167,6 +168,20 @@ def test_phase_from_an_overflowing_reduced_speed_fails_as_flow_does(ball):
     assert np.array_equal(errors[0].last_state.y, errors[1].last_state.y)
 
 
+def test_brentq_raises_runtime_error_on_a_nan_value():
+    # NaN inside the bracket, met after the endpoints: a RuntimeError, the
+    # class the period search types as SectionRefinementError
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return math.nan if len(calls) > 2 else x - 0.3
+
+    with pytest.raises(RuntimeError, match=r"^The function value at x=\S+ is NaN"):
+        brentq(f, 0.0, 1.0, xtol=1e-13, rtol=1e-15)
+    assert len(calls) == 3
+
+
 def test_flow_rejects_bad_start(ball):
     m = ball_point(ball, (5.0, 0.0), (0.0, 0.1), Rotation.identity(), 0.0)
     with pytest.raises(IntegrationError):
@@ -182,6 +197,22 @@ def test_infinite_velocity_is_a_typed_domain_exit(ball, run):
         run(ball, m)
     assert isinstance(exc.value.__cause__, DomainError)
     assert str(exc.value.__cause__) == "velocity a_dot = (inf, 0) is not finite"
+
+
+@pytest.mark.parametrize("a_dot", [(0.0, 1e160), (1e200, 1e200)], ids=["one", "both"])
+@pytest.mark.parametrize("run", [lambda s, m: flow(s, m, 1.0), phase],
+                         ids=["flow", "phase"])
+def test_an_overflowing_velocity_square_is_a_typed_domain_exit(ball, run, a_dot):
+    # a finite velocity whose square overflows: the domain test squares
+    # it on Python floats, so it raises no overflow warning, and its
+    # message does not call the velocity infinite
+    m = ball_point(ball, (1.0, 0.0), a_dot)
+    with pytest.raises(IntegrationError, match="initial state outside the domain") as exc:
+        run(ball, m)
+    assert isinstance(exc.value.__cause__, DomainError)
+    assert str(exc.value.__cause__) == (
+        f"velocity a_dot = ({a_dot[0]:.6g}, {a_dot[1]:.6g}) is too large: "
+        "|(a, a_dot)|^2 overflows")
 
 
 @pytest.mark.parametrize("kind", ["ball", "rigid"])

@@ -1,0 +1,176 @@
+"""The runtime's owned copies of scipy's numerics, pinned to scipy bit for
+bit: the DOP853 tableau, the dense output, brentq and the bounded scalar
+search.  scipy is the reference here only; the package imports none of
+it (``test_cli.py::test_the_runtime_loads_no_scipy``)."""
+
+import math
+
+import numpy as np
+import pytest
+
+import reconphase.integrate as integrate
+import reconphase.reconstruct as reconstruct
+from reconphase import _dop853
+from reconphase.dynsys import (
+    SurfaceProfile,
+    act,
+    ball_point,
+    make_ball_system,
+    make_rigid_body,
+    rigid_point,
+)
+from reconphase.liegroup import GroupElement, Rotation
+from reconphase.reconstruct import phase, reduced_orbit_distance
+from reconphase.verify import sample_points
+
+scipy_dop = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+rk = pytest.importorskip("scipy.integrate._ivp.rk")
+optimize = pytest.importorskip("scipy.optimize")
+
+
+@pytest.fixture(scope="module")
+def systems():
+    ball = make_ball_system(SurfaceProfile((0.0, 0.5)))
+    rigid = make_rigid_body((1.0, 2.0, 3.0))
+    return {
+        "ball": (ball, ball_point(ball, (0.9, -0.2), (0.1, 0.35), w=0.4)),
+        "rigid": (rigid, rigid_point(rigid, Rotation.identity(), (1.0, 0.2, 0.3))),
+    }
+
+
+def test_the_tableau_is_scipys():
+    for name in ("N_STAGES", "N_STAGES_EXTENDED", "INTERPOLATOR_POWER"):
+        assert getattr(_dop853, name) == getattr(scipy_dop, name)
+    for name in ("C", "A", "B", "E3", "E5", "D"):
+        ours, theirs = getattr(_dop853, name), getattr(scipy_dop, name)
+        assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+        assert ours.tobytes() == theirs.tobytes()
+
+
+def test_the_step_factor_constants_are_scipys():
+    for name in ("SAFETY", "MIN_FACTOR", "MAX_FACTOR"):
+        assert getattr(integrate, name) == getattr(rk, name)
+
+
+@pytest.mark.parametrize("kind", ["ball", "rigid"])
+def test_the_dense_output_is_scipys(systems, kind):
+    # every segment of one recorded period, at scalar times (the nodes,
+    # the refinement's points) and at the section scan's time arrays
+    spec, m = systems[kind]
+    segments = phase(spec, m)._trajectory.segments
+    assert len(segments) > 20
+    for seg in segments:
+        ref = rk.Dop853DenseOutput(seg.t_old, seg.t, seg.y_old, seg.F)
+        assert (seg.t_old, seg.t) == (ref.t_old, ref.t)
+        ts = np.linspace(seg.t_old, seg.t, 17)
+        for t in (seg.t_old, float(ts[5]), 0.5 * (seg.t_old + seg.t), seg.t):
+            assert seg(t).tobytes() == ref(t).tobytes()
+        for times in (ts, ts[3:4], np.array([seg.t, seg.t_old])):
+            assert seg(times).shape == (spec.nstate, times.size)
+            assert seg(times).tobytes() == ref(times).tobytes()
+
+
+def _random_functions(rng):
+    """Smooth scalar functions of four kinds with seeded coefficients."""
+    kinds = (
+        lambda c: lambda x: ((c[0] * x + c[1]) * x + c[2]) * x + c[3],
+        lambda c: lambda x: math.sin(3.0 * c[0] * x + c[1]) + 0.5 * c[2],
+        lambda c: lambda x: math.exp(c[0] * x) - 1.0 - c[1],
+        lambda c: lambda x: math.tanh(5.0 * c[0] * (x - c[1])) + 0.1 * c[2] * x,
+    )
+    while True:
+        for make in kinds:
+            yield make(rng.normal(size=4))
+
+
+def _counted(f):
+    def g(x):
+        g.calls += 1
+        return f(x)
+
+    g.calls = 0
+    return g
+
+
+def test_brentq_is_scipys_on_random_brackets():
+    # root, iterations and function calls, in both bracket orientations
+    rng = np.random.default_rng(1701)
+    functions = _random_functions(rng)
+    compared = 0
+    while compared < 4000:
+        f = next(functions)
+        a, b = rng.uniform(-3.0, 3.0, 2).tolist()
+        if math.copysign(1.0, f(a)) == math.copysign(1.0, f(b)):
+            continue
+        g = _counted(f)
+        root, iterations = integrate.brentq(g, a, b, xtol=1e-13, rtol=1e-15)
+        ref_root, ref = optimize.brentq(f, a, b, xtol=1e-13, rtol=1e-15,
+                                        full_output=True)
+        assert root.hex() == ref_root.hex()
+        assert (iterations, g.calls) == (ref.iterations, ref.function_calls)
+        compared += 1
+
+
+def test_brentq_fails_to_converge_as_scipy_does():
+    def f(x):
+        return x ** 3 - 2.0
+
+    with pytest.raises(RuntimeError) as ours:
+        integrate.brentq(f, 0.0, 2.0, xtol=1e-13, rtol=1e-15, maxiter=3)
+    with pytest.raises(RuntimeError) as theirs:
+        optimize.brentq(f, 0.0, 2.0, xtol=1e-13, rtol=1e-15, maxiter=3)
+    assert str(ours.value) == str(theirs.value) == "Failed to converge after 3 iterations."
+    with pytest.raises(ValueError, match="must have different signs"):
+        integrate.brentq(f, 2.0, 3.0, xtol=1e-13, rtol=1e-15)
+
+
+@pytest.mark.parametrize("kind", ["ball", "rigid"])
+def test_brentq_is_scipys_on_the_samplers_refinements(systems, kind, monkeypatch):
+    # every section refinement the sampler's admission phases perform
+    own = integrate.brentq
+    seen = []
+
+    def both(f, a, b, xtol, rtol):
+        g = _counted(f)
+        result = own(g, a, b, xtol, rtol)
+        ref_root, ref = optimize.brentq(f, a, b, xtol=xtol, rtol=rtol, full_output=True)
+        assert result[0].hex() == ref_root.hex()
+        assert (result[1], g.calls) == (ref.iterations, ref.function_calls)
+        seen.append(result)
+        return result
+
+    monkeypatch.setattr(integrate, "brentq", both)
+    spec, _ = systems[kind]
+    sample_points(spec, np.random.default_rng(11), 4)
+    assert len(seen) >= 4
+
+
+@pytest.mark.parametrize("kind", ["ball", "rigid"])
+def test_the_bounded_search_is_scipys(systems, kind, monkeypatch):
+    # x and fun of scipy's minimize_scalar(method="bounded") on every
+    # reduced_orbit_distance call: points on the orbit, on a flower frame
+    # and off it, and an other sampled orbit's start
+    own = reconstruct._bounded_min
+    seen = []
+
+    def both(func, x1, x2, xatol):
+        x, fx = own(func, x1, x2, xatol)
+        ref = optimize.minimize_scalar(func, bounds=(x1, x2), method="bounded",
+                                       options={"xatol": xatol})
+        assert (x.hex(), fx.hex()) == (float(ref.x).hex(), float(ref.fun).hex())
+        seen.append(x)
+        return x, fx
+
+    monkeypatch.setattr(reconstruct, "_bounded_min", both)
+    spec, m = systems[kind]
+    p = phase(spec, m)
+    traj = p._trajectory
+    g = GroupElement(0.7 if kind == "ball" else 0.0,
+                     Rotation.from_axis_angle([0.4, -0.7, 0.59], 2.1), spec.group)
+    points = [traj.eval(f * p.tau) for f in (0.0, 0.13, 0.5, 0.77, 0.999)]
+    points.append(act(g, traj.eval(0.31 * p.tau)))
+    points.append(spec.unpack(traj.eval_y(0.6 * p.tau) * 1.01))
+    points += sample_points(spec, np.random.default_rng(5), 2)
+    for m2 in points:
+        reduced_orbit_distance(spec, p, m2)
+    assert len(seen) == len(points)
