@@ -66,9 +66,17 @@ states are uniformly 4-vectors).
 Evaluation
 ----------
 ``SystemSpec.rhs`` is the one evaluator of the vector field that
-integrations step with.  It runs the formulas on Python floats, which
-costs about half of the same arithmetic on numpy scalars; a batch of
-states calls it once per state.
+integrations step with; a batch of states calls it once per state.
+Building a spec generates its field as one straight-line function on
+Python floats, from source text with the spec's constants baked in as
+``repr`` literals: for the ball the Horner coefficients of f' and f'',
+``k/(k+1)``, ``1/(k+1)``, the gravity and the squared annulus bounds
+(a state outside them goes to ``domain_check`` for its message), for the
+rigid body the inertia.  Each formula is written once, as that source:
+``reduced_velocity``, ``vector_field``, ``energy_y`` and
+``rolling_residual_y`` run functions generated from the same blocks, and
+every operation keeps its order, so the bits are those of the formulas
+above.  ``dataclasses.replace`` builds a spec again, with its own field.
 """
 
 from __future__ import annotations
@@ -96,12 +104,13 @@ RIGID = "rigid"
 # ---------------------------------------------------------------------------
 
 
-def _horner(coeffs, s):
-    """The polynomial with coefficients ``coeffs`` (lowest degree first)
-    at s."""
-    acc = 0.0
+def _horner(coeffs):
+    """Source text of Horner's rule for the polynomial with coefficients
+    ``coeffs`` (lowest degree first) at s: acc = acc * s + c from
+    acc = 0.0, highest degree first, with the coefficients as literals."""
+    acc = "0.0"
     for cj in reversed(coeffs):
-        acc = acc * s + cj
+        acc = f"({acc}) * s + ({cj!r})"
     return acc
 
 
@@ -109,7 +118,9 @@ def _horner(coeffs, s):
 class SurfaceProfile:
     """Surface of revolution traced by the ball's center: z = f(r^2) with
     f a polynomial (coeffs[j] multiplies (r^2)^j).  Convexity d^2z/dr^2 > 0
-    is required on the working annulus and checked by make_ball_system."""
+    is required on the working annulus and checked by make_ball_system.
+    ``horner`` holds f, f' and f'' as Horner source in s, which ``f``,
+    ``fp``, ``fpp`` and the ball's generated field run."""
 
     coeffs: tuple
     gravity: float = 1.0
@@ -127,22 +138,23 @@ class SurfaceProfile:
         if not (0.0 < self.inertia_ratio <= 1.0):
             raise ConfigError("inertia_ratio must lie in (0, 1]")
         object.__setattr__(self, "coeffs", c)
-        # derivative coefficient tables for Horner evaluation
-        object.__setattr__(
-            self, "_dc", tuple(j * c[j] for j in range(1, len(c)))
-        )
-        object.__setattr__(
-            self, "_ddc", tuple(j * (j - 1) * c[j] for j in range(2, len(c)))
-        )
+        horner = {
+            "f": _horner(c),
+            "fp": _horner([j * c[j] for j in range(1, len(c))]),
+            "fpp": _horner([j * (j - 1) * c[j] for j in range(2, len(c))]),
+        }
+        object.__setattr__(self, "horner", horner)
+        for name, text in horner.items():
+            object.__setattr__(self, f"_{name}", eval(f"lambda s: {text}"))
 
     def f(self, s: float) -> float:
-        return _horner(self.coeffs, s)
+        return self._f(s)
 
     def fp(self, s: float) -> float:
-        return _horner(self._dc, s)
+        return self._fp(s)
 
     def fpp(self, s: float) -> float:
-        return _horner(self._ddc, s)
+        return self._fpp(s)
 
     def height_convexity(self, r: float) -> float:
         """d^2 z / d r^2 of the height z(r) = f(r^2)."""
@@ -231,22 +243,117 @@ class IntegrationDefaults:
         return replace(self, **changes) if changes else self
 
 
-def _quat_rate(qw, qx, qy, qz, r1, r2, r3):
-    """Rows of dq/dt = q (0, r) / 2 for the attitude quaternion q and its
-    body-frame angular rate r."""
-    return (
-        0.5 * (-qx * r1 - qy * r2 - qz * r3),
-        0.5 * (qw * r1 + qy * r3 - qz * r2),
-        0.5 * (qw * r2 + qz * r1 - qx * r3),
-        0.5 * (qw * r3 + qx * r2 - qy * r1),
-    )
+def _quat_rate(r1, r2, r3):
+    """Source of the rows of dq/dt = q (0, r) / 2 for the attitude
+    quaternion (qw, qx, qy, qz) and its body-frame angular rate r."""
+    return (f"0.5 * (-qx * {r1} - qy * {r2} - qz * {r3}), "
+            f"0.5 * (qw * {r1} + qy * {r3} - qz * {r2}), "
+            f"0.5 * (qw * {r2} + qz * {r1} - qx * {r3}), "
+            f"0.5 * (qw * {r3} + qx * {r2} - qy * {r1})")
 
 
-@dataclass(frozen=True)
+# The ball's formulas, written once as source.  The geometry of the state
+# (a1, a2, ad1, ad2, w) with s = |a|^2: the unit normal n, its rate nd,
+# the center velocity v_c = (ad1, ad2, vc2) and omega, solved from the
+# rolling constraint omega = n x v_c + w n.  {fp} and {fpp} are the
+# profile's Horner source in s.
+_BALL_GEOMETRY = """
+    fp = {fp}
+    fpp = {fpp}
+    g1 = 2.0 * fp * a1
+    g2 = 2.0 * fp * a2
+    N2 = 1.0 + g1 * g1 + g2 * g2
+    N = sqrt(N2)
+    n0 = -g1 / N
+    n1 = -g2 / N
+    n2 = 1.0 / N
+    ca = a1 * ad1 + a2 * ad2
+    dg1 = 2.0 * fp * ad1 + 4.0 * fpp * ca * a1
+    dg2 = 2.0 * fp * ad2 + 4.0 * fpp * ca * a2
+    gdg = g1 * dg1 + g2 * dg2
+    nd0 = -dg1 / N - n0 * gdg / N2
+    nd1 = -dg2 / N - n1 * gdg / N2
+    nd2 = -n2 * gdg / N2
+    vc2 = g1 * ad1 + g2 * ad2
+    om0 = n1 * vc2 - n2 * ad2 + w * n0
+    om1 = n2 * ad1 - n0 * vc2 + w * n1
+    om2 = n0 * ad2 - n1 * ad1 + w * n2"""
+# The rates: the center acceleration (vd1, vd2), with {c1} = k/(k+1),
+# {c2} = 1/(k+1) and the tangential gravity G - (n.G) n of
+# G = (0, 0, -{gravity}); the spin rate wdot = det[n, v_c, nd]; and mu,
+# the body-frame rate of the attitude Q in the corotating chart.
+_BALL_RATES = """
+    vdn = ad1 * nd0 + ad2 * nd1 + vc2 * nd2
+    nxnd0 = n1 * nd2 - n2 * nd1
+    nxnd1 = n2 * nd0 - n0 * nd2
+    vd1 = -vdn * n0 + {c1} * w * nxnd0 + {c2} * ({gravity} * n2 * n0)
+    vd2 = -vdn * n1 + {c1} * w * nxnd1 + {c2} * ({gravity} * n2 * n1)
+    wdot = (n0 * (ad2 * nd2 - vc2 * nd1) - n1 * (ad1 * nd2 - vc2 * nd0)
+            + n2 * (ad1 * nd1 - ad2 * nd0))
+    r = sqrt(s)
+    e10 = a1 / r
+    e11 = a2 / r
+    chidot = (a1 * ad2 - a2 * ad1) / s
+    mu1 = -(e10 * om0 + e11 * om1)
+    mu2 = -(-e11 * om0 + e10 * om1)
+    mu3 = chidot - om2"""
+# field: the packed rhs of a list of floats, whose state outside the
+# squared annulus [{lo}, {hi}] or with |(a, a_dot)|^2 outside [1e-16, inf)
+# goes to domain_check for its message; geometry and rates: the blocks'
+# values on any indexable state.
+_BALL_SOURCE = """
+def field(spec, t, y):
+    a1, a2, ad1, ad2, qw, qx, qy, qz, w = y
+    s = a1 * a1 + a2 * a2
+    if not ({lo} <= s <= {hi} and 1e-16 <= s + ad1 * ad1 + ad2 * ad2 < inf):
+        spec.domain_check(y, t)
+{geometry}
+{rates}
+    return [ad1, ad2, vd1, vd2, {quat}, wdot]
+
+def geometry(y):
+    a1, a2, ad1, ad2, w = y[0], y[1], y[2], y[3], y[8]
+    s = a1 * a1 + a2 * a2
+{geometry}
+    return s, (n0, n1, n2), (ad1, ad2, vc2), (om0, om1, om2)
+
+def rates(y):
+    a1, a2, ad1, ad2, w = y[0], y[1], y[2], y[3], y[8]
+    s = a1 * a1 + a2 * a2
+{geometry}
+{rates}
+    return vd1, vd2, wdot, (mu1, mu2, mu3)
+"""
+_BALL_SOURCE = (_BALL_SOURCE.replace("{geometry}", _BALL_GEOMETRY)
+                .replace("{rates}", _BALL_RATES)
+                .replace("{quat}", _quat_rate("mu1", "mu2", "mu3")))
+# Euler's equations with the inertia (I1, I2, I3) as literals
+_RIGID_SOURCE = """
+def field(spec, t, y):
+    qw, qx, qy, qz, o1, o2, o3 = y
+    return [{quat}, ({I2} - {I3}) * o2 * o3 / {I1}, ({I3} - {I1}) * o3 * o1 / {I2},
+            ({I1} - {I2}) * o1 * o2 / {I3}]
+""".replace("{quat}", _quat_rate("o1", "o2", "o3"))
+
+
+def _generate(source: str, **constants) -> dict:
+    """The functions that ``source`` defines once its fields are filled
+    with ``constants`` (floats as their ``repr``, so each keeps its bits;
+    a non-finite one reads the name ``inf`` or ``nan``)."""
+    text = source.format(**{k: repr(float(v)) if isinstance(v, float) else v
+                            for k, v in constants.items()})
+    namespace = {"sqrt": math.sqrt, "inf": math.inf, "nan": math.nan}
+    exec(text, namespace)
+    return namespace
+
+
+@dataclass(frozen=True, eq=False)
 class SystemSpec:
     """Bundle of a system's action, vector field, reduction and
     invariants, plus integration defaults.  Immutable; evaluators are
-    pure functions of the state."""
+    pure functions of the state.  Specs compare and hash by identity.
+    Building one (``replace`` included) generates its vector field from
+    its constants (see the module docstring)."""
 
     kind: str
     group: str
@@ -255,6 +362,21 @@ class SystemSpec:
     inertia: Optional[np.ndarray] = None
     annulus: tuple = (0.2, 2.5)
     defaults: IntegrationDefaults = field(default_factory=IntegrationDefaults)
+
+    def __post_init__(self):
+        if self.kind == BALL:
+            pr, k = self.profile, self.profile.inertia_ratio
+            rmin, rmax = self.annulus
+            made = _generate(
+                _BALL_SOURCE, fp=pr.horner["fp"], fpp=pr.horner["fpp"],
+                c1=k / (k + 1.0), c2=1.0 / (k + 1.0), gravity=pr.gravity,
+                lo=rmin * rmin, hi=rmax * rmax)
+            object.__setattr__(self, "_geometry", made["geometry"])
+            object.__setattr__(self, "_rates", made["rates"])
+        else:
+            I1, I2, I3 = self.inertia.tolist()
+            made = _generate(_RIGID_SOURCE, I1=I1, I2=I2, I3=I3)
+        object.__setattr__(self, "_field", made["field"])
 
     # -- packing -------------------------------------------------------
     def pack(self, m: PhasePoint) -> np.ndarray:
@@ -303,111 +425,43 @@ class SystemSpec:
             return
         raise DomainError(what, last_state=np.array(y), t=t)
 
-    def _ball_geometry(self, a1, a2, ad1, ad2, w):
-        """(s, n, dn/dt, v_c, omega) of the ball state (a, a_dot, w), with
-        omega solved from the rolling constraint, omega = n x v_c + w n."""
-        pr = self.profile
-        s = a1 * a1 + a2 * a2
-        fp = _horner(pr._dc, s)
-        fpp = _horner(pr._ddc, s)
-        g1 = 2.0 * fp * a1
-        g2 = 2.0 * fp * a2
-        N2 = 1.0 + g1 * g1 + g2 * g2
-        N = math.sqrt(N2)
-        n = (-g1 / N, -g2 / N, 1.0 / N)
-        ca = a1 * ad1 + a2 * ad2
-        dg1 = 2.0 * fp * ad1 + 4.0 * fpp * ca * a1
-        dg2 = 2.0 * fp * ad2 + 4.0 * fpp * ca * a2
-        gdg = g1 * dg1 + g2 * dg2
-        nd = (
-            -dg1 / N - n[0] * gdg / N2,
-            -dg2 / N - n[1] * gdg / N2,
-            -n[2] * gdg / N2,
-        )
-        vc = (ad1, ad2, g1 * ad1 + g2 * ad2)
-        om = (
-            n[1] * vc[2] - n[2] * vc[1] + w * n[0],
-            n[2] * vc[0] - n[0] * vc[2] + w * n[1],
-            n[0] * vc[1] - n[1] * vc[0] + w * n[2],
-        )
-        return s, n, nd, vc, om
-
-    def _ball_rates(self, y):
-        """Core ball dynamics: returns (addot1, addot2, wdot, mu) where mu
-        is the body-frame rate of the stored attitude Q."""
-        pr = self.profile
-        a1, a2, ad1, ad2, w = y[0], y[1], y[2], y[3], y[8]
-        s, n, nd, vc, om = self._ball_geometry(a1, a2, ad1, ad2, w)
-        k = pr.inertia_ratio
-        grav = pr.gravity
-        vdn = vc[0] * nd[0] + vc[1] * nd[1] + vc[2] * nd[2]
-        nxnd = (
-            n[1] * nd[2] - n[2] * nd[1],
-            n[2] * nd[0] - n[0] * nd[2],
-            n[0] * nd[1] - n[1] * nd[0],
-        )
-        c1 = k / (k + 1.0)
-        c2 = 1.0 / (k + 1.0)
-        # tangential gravity: G - (n.G) n with G = (0, 0, -grav)
-        gt = (grav * n[2] * n[0], grav * n[2] * n[1], grav * (n[2] * n[2] - 1.0))
-        vd1 = -vdn * n[0] + c1 * w * nxnd[0] + c2 * gt[0]
-        vd2 = -vdn * n[1] + c1 * w * nxnd[1] + c2 * gt[1]
-        # wdot = det[n, vc, nd]
-        wdot = (
-            n[0] * (vc[1] * nd[2] - vc[2] * nd[1])
-            - n[1] * (vc[0] * nd[2] - vc[2] * nd[0])
-            + n[2] * (vc[0] * nd[1] - vc[1] * nd[0])
-        )
-        # attitude rate in the corotating chart
-        r = math.sqrt(s)
-        e1 = (a1 / r, a2 / r)
-        chidot = (a1 * ad2 - a2 * ad1) / s
-        mu = (
-            -(e1[0] * om[0] + e1[1] * om[1]),
-            -(-e1[1] * om[0] + e1[0] * om[1]),
-            chidot - om[2],
-        )
-        return vd1, vd2, wdot, mu
-
     def rhs(self, t: float, y) -> list:
         """Packed-state time derivative (quaternion slot included) of a
         list of floats or an array, as a list of Python floats (see the
         module docstring)."""
-        y = y.tolist() if isinstance(y, np.ndarray) else y
-        if self.kind == BALL:
-            self.domain_check(y, t)
-            vd1, vd2, wdot, mu = self._ball_rates(y)
-            return [y[2], y[3], vd1, vd2, *_quat_rate(y[4], y[5], y[6], y[7], *mu), wdot]
-        o1, o2, o3 = y[4], y[5], y[6]
-        I1, I2, I3 = self.inertia.tolist()
-        return [
-            *_quat_rate(y[0], y[1], y[2], y[3], o1, o2, o3),
-            (I2 - I3) * o2 * o3 / I1,
-            (I3 - I1) * o3 * o1 / I2,
-            (I1 - I2) * o1 * o2 / I3,
-        ]
+        return self._field(self, t, y.tolist() if isinstance(y, np.ndarray) else y)
 
-    def reduce_y(self, y: np.ndarray) -> np.ndarray:
-        """Reduced state as a 4-vector (b, w); packed states given as the
-        columns of an (nstate, n) array give the columns of a (4, n) one."""
+    def reduce_y(self, y):
+        """Reduced state as a 4-vector (b, w) of a packed state: an array
+        from an (nstate,) array, the columns of a (4, n) array from the
+        columns of an (nstate, n) one, and a list of Python floats from a
+        list of floats, by the same arithmetic.  It reads the rows
+        ``reduced_rows`` of y."""
+        on_floats = isinstance(y, list)
         if self.kind == BALL:
             a1, a2, ad1, ad2 = y[0], y[1], y[2], y[3]
-            return np.array(
-                [
-                    0.5 * (a1 * a1 + a2 * a2 - ad1 * ad1 - ad2 * ad2),
-                    a1 * ad1 + a2 * ad2,
-                    a1 * ad2 - a2 * ad1,
-                    y[8],
-                ]
-            )
-        I1, I2, I3 = self.inertia
-        return np.array([I1 * y[4], I2 * y[5], I3 * y[6], np.zeros_like(y[4])])
+            r = [
+                0.5 * (a1 * a1 + a2 * a2 - ad1 * ad1 - ad2 * ad2),
+                a1 * ad1 + a2 * ad2,
+                a1 * ad2 - a2 * ad1,
+                y[8],
+            ]
+        else:
+            I1, I2, I3 = self.inertia.tolist()
+            zero = 0.0 if on_floats else np.zeros_like(y[4])
+            r = [I1 * y[4], I2 * y[5], I3 * y[6], zero]
+        return r if on_floats else np.array(r)
+
+    @property
+    def reduced_rows(self) -> tuple:
+        """The rows of a packed state that reduce_y reads."""
+        return (0, 1, 2, 3, 8) if self.kind == BALL else (4, 5, 6)
 
     def reduced_velocity(self, y: np.ndarray) -> np.ndarray:
         """Time derivative of reduce_y along the flow (analytic)."""
         if self.kind == BALL:
             a1, a2, ad1, ad2 = y[0], y[1], y[2], y[3]
-            vd1, vd2, wdot, _ = self._ball_rates(y)
+            vd1, vd2, wdot, _ = self._rates(y)
             return np.array(
                 [
                     a1 * ad1 + a2 * ad2 - (ad1 * vd1 + ad2 * vd2),
@@ -424,7 +478,7 @@ class SystemSpec:
     def energy_y(self, y: np.ndarray) -> float:
         if self.kind == BALL:
             pr = self.profile
-            s, _, _, vc, om = self._ball_geometry(*y[0:4], y[8])
+            s, _, vc, om = self._geometry(y)
             v2 = vc[0] ** 2 + vc[1] ** 2 + vc[2] ** 2
             o2 = om[0] ** 2 + om[1] ** 2 + om[2] ** 2
             return pr.mass * (
@@ -438,7 +492,7 @@ class SystemSpec:
         reconstructed from the state (ball only)."""
         if self.kind != BALL:
             raise ValueError("rolling residual is defined for the ball system")
-        _, n, _, vc, om = self._ball_geometry(*y[0:4], y[8])
+        _, n, vc, om = self._geometry(y)
         # contact velocity = v_c - omega x n  (contact offset is -n)
         res = (
             vc[0] - (om[1] * n[2] - om[2] * n[1]),
@@ -504,7 +558,7 @@ def vector_field(m: PhasePoint) -> np.ndarray:
     y = m.y
     if spec.kind == BALL:
         spec.domain_check(y)
-        vd1, vd2, wdot, mu = spec._ball_rates(y)
+        vd1, vd2, wdot, mu = spec._rates(y)
         return np.array([y[2], y[3], vd1, vd2, *mu, wdot])
     return np.concatenate([y[4:7], spec.rhs(0.0, y)[4:7]])
 

@@ -32,13 +32,15 @@ width, so the batch pays only with several columns.
 Period detection marches the flow while watching the section function
 sigma(t) = <reduced(t) - reduced(0), v0_hat> (v0 = initial reduced
 velocity).  Each accepted step samples sigma at 17 equally spaced times
-(16 sub-intervals) with one call to the step's interpolant and one
-batch reduction.  At every sign change of sigma from negative to
-positive the crossing time is refined by brentq on that same function,
-applied to a one-element time array, so the scan and the refinement
-agree on every sign; the first refined crossing beyond the
-minimal-period floor whose reduced state also returns to the start
-(closure) is the period.  Crossings that fail
+(16 sub-intervals) with one call to the step's interpolant on an array
+of times and one reduction of its columns.  At every sign change of
+sigma from negative to positive the crossing time is refined by brentq
+on Python floats: each value reads the interpolant at one time, only in
+the rows the reduction reads, then the reduction and the sum with
+v0_hat, each in the scan's order.  A time gets the same bits in the
+scan and in the refinement, so the two agree on every sign.  The first
+refined crossing beyond the minimal-period floor whose reduced state
+also returns to the start (closure) is the period.  Crossings that fail
 closure are other intersections of the reduced orbit with the section
 hyperplane and are skipped; if only such crossings exist up to t_max the
 orbit is reported as not periodic.  A refinement that fails inside its
@@ -202,6 +204,26 @@ class _Segment:
             y *= x if i % 2 == 0 else 1 - x
         y += self.y_old
         return y.T
+
+    def rows_at(self, rows, nstate):
+        """The interpolant on Python floats: a function of one time giving
+        a list of ``nstate`` floats whose entries ``rows`` are __call__'s,
+        by its arithmetic in its order, and whose other entries are 0.0."""
+        F = self.F[::-1, rows].T.tolist()
+        y_old = self.y_old[list(rows)].tolist()
+        t_old, h, n = self.t_old, self.h, len(self.F)
+
+        def at(t):
+            x = (t - t_old) / h
+            xs = (x, 1 - x) * n
+            y = [0.0] * nstate
+            for j, fs, y0 in zip(rows, F, y_old):
+                acc = 0.0
+                for f, m in zip(fs, xs):
+                    acc = (acc + f) * m
+                y[j] = acc + y0
+            return y
+        return at
 
 
 @dataclass
@@ -548,6 +570,27 @@ def brentq(f, xa, xb, xtol, rtol, maxiter=100):
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
+class _Section:
+    """The section function sigma(y) = <reduce_y(y) - rp0, v0n> (see the
+    module docstring), summed term by term in one fixed order, never by a
+    BLAS dot whose order depends on the array length: the columns of an
+    (nstate, n) array give an (n,) array, and a list of floats a float of
+    the same bits."""
+
+    def __init__(self, spec: SystemSpec, rp0, v0n):
+        self.spec, self.rp0, self.v0n = spec, rp0.tolist(), v0n.tolist()
+
+    def __call__(self, y):
+        reduced = self.spec.reduce_y(y)
+        return sum(v * (r - p) for v, r, p in zip(self.v0n, reduced, self.rp0))
+
+    def on_floats(self, seg):
+        """sigma at one time of the step's interpolant ``seg``, on Python
+        floats from the rows that reduce_y reads."""
+        at = seg.rows_at(self.spec.reduced_rows, self.spec.nstate)
+        return lambda t: self(at(t))
+
+
 def _period_search(spec: SystemSpec, m: PhasePoint, s: IntegrationDefaults):
     """Core search at the settings ``s``; returns (PeriodResult, trajectory
     covering [0, tau])."""
@@ -570,24 +613,16 @@ def _period_search(spec: SystemSpec, m: PhasePoint, s: IntegrationDefaults):
 
     marcher = _Marcher(spec, y0, s.t_max, s.rtol, s.atol, dense=True)
     traj = marcher.traj
-
-    def sigma_of(seg):
-        def sigma(ts):
-            # summed term by term in one fixed order, never by a BLAS dot
-            # whose order depends on the array length: a time gets the same
-            # value in the step's scan and in the brentq refinement
-            d = spec.reduce_y(seg(ts)) - rp0[:, None]
-            return sum(v * row for v, row in zip(v0n, d))
-        return sigma
+    section = _Section(spec, rp0, v0n)
 
     best_residual = math.inf
     found_crossing = False
     n_sub = 16
     while not marcher.finished:
         seg = marcher.step()
-        sig = sigma_of(seg)
         ts = np.linspace(seg.t_old, seg.t, n_sub + 1)
-        vals = sig(ts)
+        vals = section(seg(ts)).tolist()
+        ts = ts.tolist()
         for i in range(1, len(ts)):
             if not (vals[i - 1] < 0.0 <= vals[i]):
                 continue
@@ -595,12 +630,11 @@ def _period_search(spec: SystemSpec, m: PhasePoint, s: IntegrationDefaults):
                 continue
             try:
                 t_star, iterations = brentq(
-                    lambda t: float(sig(np.array([t]))[0]),
-                    ts[i - 1], ts[i], xtol=1e-13, rtol=1e-15,
+                    section.on_floats(seg), ts[i - 1], ts[i], xtol=1e-13, rtol=1e-15,
                 )
             except RuntimeError as e:
                 raise SectionRefinementError(
-                    f"section crossing in [{float(ts[i - 1])!r}, {float(ts[i])!r}] "
+                    f"section crossing in [{ts[i - 1]!r}, {ts[i]!r}] "
                     f"was not refined: {e}"
                 ) from e
             if t_star <= s.min_period:

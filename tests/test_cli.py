@@ -492,16 +492,17 @@ def test_failed_crossing_refinement_is_typed(tmp_path, capsys, monkeypatch):
 
 
 def test_nan_section_value_in_the_refinement_is_typed(tmp_path, capsys, monkeypatch):
-    # the section function reads NaN at the refinement's one-point time
-    # arrays only: brentq raises RuntimeError, which the period search
-    # types as SectionRefinementError (exit 3)
+    # the section function reads NaN in the refinement only, whose reduced
+    # map runs on a list of floats (the scan's runs on array columns):
+    # brentq raises RuntimeError, which the period search types as
+    # SectionRefinementError (exit 3)
     reduce_y = SystemSpec.reduce_y
 
-    def nan_at_one_point(self, y):
+    def nan_on_floats(self, y):
         r = reduce_y(self, y)
-        return np.full_like(r, np.nan) if r.ndim == 2 and r.shape[1] == 1 else r
+        return [math.nan] * len(r) if isinstance(y, list) else r
 
-    monkeypatch.setattr(SystemSpec, "reduce_y", nan_at_one_point)
+    monkeypatch.setattr(SystemSpec, "reduce_y", nan_on_floats)
     config = write_config(tmp_path, BALL_CONFIG)
     assert run_cli("phase", "--config", config, "--out", str(tmp_path)) == 3
     err = capsys.readouterr().err

@@ -293,6 +293,38 @@ def test_rhs_bits_are_pinned(ball, rigid, system, y, hexes):
         assert [v.hex() for v in f] == hexes
 
 
+def test_specs_compare_and_hash_by_identity(ball, rigid):
+    # a rigid spec's inertia is an array, which a value comparison could
+    # not use; every spec equals itself only
+    for spec in (ball, rigid):
+        assert spec == spec and spec != replace(spec)
+        assert {spec: 1}[spec] == 1 and hash(spec) != hash(replace(spec))
+
+
+def test_a_replaced_spec_generates_its_own_field(ball, rigid):
+    # replace() builds the spec again, so its field reads the new
+    # constants; the old spec keeps its own
+    y = [0.9, -0.2, 0.1, 0.35, 1.0, 0.0, 0.0, 0.0, 0.4]
+    cubic = SurfaceProfile((0.1, 0.3, 0.05), gravity=2.0, inertia_ratio=0.5)
+    fresh = make_ball_system(cubic, annulus=(0.1, 3.0))
+    assert replace(ball, profile=cubic).rhs(0.0, y) == fresh.rhs(0.0, y)
+    assert ball.rhs(0.0, y) != fresh.rhs(0.0, y)
+    yr = [1.0, 0.0, 0.0, 0.0, 1.0, 0.2, 0.3]
+    assert (replace(rigid, inertia=np.array([1.5, 0.7, 2.2])).rhs(0.0, yr)
+            == make_rigid_body((1.5, 0.7, 2.2)).rhs(0.0, yr) != rigid.rhs(0.0, yr))
+    # a domain exit follows the replaced annulus, with domain_check's message
+    narrow = replace(ball, annulus=(0.2, 0.8))
+    message = r"^center radius 0.921954 left the annulus \[0.2, 0.8\]$"
+    with pytest.raises(DomainError, match=message):
+        narrow.rhs(0.0, y)
+    wide = [2.7, 0.0, 0.1, 0.35, 1.0, 0.0, 0.0, 0.0, 0.4]
+    with pytest.raises(DomainError, match="left the annulus"):
+        ball.rhs(0.0, wide)
+    assert replace(ball, annulus=(0.2, 3.0)).rhs(0.0, wide) == make_ball_system(
+        ball.profile, annulus=(0.2, 3.0)).rhs(0.0, wide)
+    assert ball.rhs(0.0, y) == make_ball_system(ball.profile).rhs(0.0, y)
+
+
 @pytest.mark.parametrize("y, annulus, message", [
     ([3.0, 0.0, 0.0, 0.1, 1.0, 0.0, 0.0, 0.0, 0.0], (0.2, 2.5),
      "center radius 3 left the annulus [0.2, 2.5]"),

@@ -38,6 +38,7 @@ from reconphase.integrate import (
     _lockstep,
     _Marcher,
     _period_search,
+    _Section,
     brentq,
     find_reduced_period,
     flow,
@@ -484,6 +485,56 @@ def test_ball_period_closure(ball, mball):
     y0 = ball.pack(mball)
     ytau = ball.pack(flow(ball, mball, pr.tau))
     assert np.linalg.norm(ball.reduce_y(ytau) - ball.reduce_y(y0)) < 1e-8
+
+
+@pytest.mark.parametrize("system, tau, theta, quat, counts", [
+    ("ball", "0x1.27f249dd5f990p+2", "0x1.c209250663206p+1",
+     ["0x1.3bf2bdf53b899p-1", "-0x1.688e0fc650466p-1", "-0x1.317917f531d76p-8",
+      "-0x1.67874862951f6p-2"], (28, 9, 558)),
+    ("rigid", "0x1.7459c194cd918p+3", "0x0.0p+0",
+     ["0x1.e2c6e6b8cc285p-1", "0x1.e5e7fd3e7bd39p-3", "0x1.84b99764da925p-4",
+      "0x1.b550ca5344a64p-3"], (33, 3, 566)),
+])
+def test_phase_bits_and_work_are_pinned(ball, rigid, system, tau, theta, quat, counts):
+    # tau and gamma to the last bit, and the accepted and rejected steps
+    # and field evaluations that found them, on the README ball orbit and
+    # rigid [1,2,3] with omega (1, 0.2, 0.3)
+    if system == "ball":
+        spec, m = ball, ball_point(ball, (0.9, -0.2), (0.1, 0.35), w=0.4)
+    else:
+        spec, m = rigid, rigid_point(rigid, Rotation.identity(), (1.0, 0.2, 0.3))
+    p = phase(spec, m)
+    traj = p._trajectory
+    assert p.tau.hex() == tau
+    assert float(p.gamma.theta).hex() == theta
+    assert [v.hex() for v in p.gamma.rot.q.tolist()] == quat
+    assert (traj.n_accepted, traj.n_rejected, traj.n_rhs_evals) == counts
+
+
+@pytest.mark.parametrize("system", ["ball", "ball_cubic", "rigid"])
+def test_scan_and_refinement_agree_on_every_bit(ball, rigid, system):
+    # the period search scans sigma on array columns and refines it on
+    # floats: at every scan time of every step of one period, the two
+    # forms read the same bits, so they agree on every sign
+    if system == "rigid":
+        spec, m = rigid, rigid_point(rigid, Rotation.identity(), (1.0, 0.2, 0.3))
+    else:
+        spec = ball if system == "ball" else make_ball_system(
+            SurfaceProfile((0.1, 0.3, 0.05), gravity=2.0, inertia_ratio=0.5),
+            annulus=(0.1, 3.0))
+        m = ball_point(spec, (0.9, -0.2), (0.1, 0.35), w=0.4)
+    y0 = spec.pack(m)
+    v0 = spec.reduced_velocity(y0)
+    section = _Section(spec, spec.reduce_y(y0), v0 / np.linalg.norm(v0))
+    _, traj = _period_search(spec, m, spec.defaults)
+    assert len(traj.segments) == traj.n_accepted > 20
+    for seg in traj.segments:
+        ts = np.linspace(seg.t_old, seg.t, 17)
+        scan = section(seg(ts)).tolist()
+        refine = section.on_floats(seg)
+        values = [refine(t) for t in ts.tolist()]
+        assert all(type(v) is float for v in values)
+        assert [v.hex() for v in values] == [v.hex() for v in scan]
 
 
 def test_rigid_linearized_period_near_stable_axis(rigid):
