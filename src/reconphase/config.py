@@ -1,4 +1,4 @@
-"""Run-configuration loading, schema validation, and resolution.
+"""Run-configuration loading, validation, and resolution.
 
 A run configuration is a JSON document with four optional blocks around
 a required ``system`` block::
@@ -11,13 +11,20 @@ a required ``system`` block::
       "output":      {"dir": "out"}
     }
 
+``_RULES`` maps each key of each block to the rule its value must meet;
+an unknown block or key is an error.  A number is a JSON integer or
+float no larger in magnitude than the largest float: ``true``, ``NaN``,
+``Infinity`` and literals that overflow (``1e400``, a 401-digit
+integer) are not numbers.  ``sampling.seed`` is an integer in
+``[0, 2**64)`` and ``sampling.count`` an integer >= 1.  The first
+violation is a :class:`ConfigError` that names its ``$.block.key`` path.
+
 The ``integration`` keys are the fields of
 :class:`~reconphase.dynsys.IntegrationDefaults`.  Resolution order for
 them (later wins): built-in defaults, config file, environment variables
 (``RECONPHASE_RTOL``, ``RECONPHASE_ATOL``, ``RECONPHASE_TOL_CLOSURE``,
-``RECONPHASE_TOL_PHASE``).  Every number in the file must be finite, and
-every integration setting, from the file or the environment, finite and
-positive; anything else is a :class:`ConfigError`.
+``RECONPHASE_TOL_PHASE``).  Every integration setting, from the file or
+the environment, must be a number > 0.
 The command line sets no tolerance: its ``--seed`` and ``--out`` flags
 override ``sampling.seed`` and ``output.dir``.  Every command embeds the
 fully resolved configuration in its output for provenance.
@@ -26,13 +33,12 @@ fully resolved configuration in its output for provenance.
 from __future__ import annotations
 
 import json
-import math
 import os
+import sys
 from dataclasses import asdict, fields
 from typing import Optional
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from .dynsys import (
     BALL,
@@ -49,89 +55,40 @@ from .dynsys import (
 from .errors import ConfigError
 from .liegroup import Rotation
 
-_NUMBER = {"type": "number"}
-_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 
-CONFIG_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["system"],
-    "additionalProperties": False,
-    "properties": {
-        "system": {
-            "type": "object",
-            "required": ["kind"],
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"enum": [BALL, RIGID]},
-                "profile": {
-                    "type": "array",
-                    "items": _NUMBER,
-                    "minItems": 1,
-                    "maxItems": 8,
-                },
-                "gravity": _POSITIVE,
-                "mass": _POSITIVE,
-                "inertia_ratio": _POSITIVE,
-                "annulus": {
-                    "type": "array",
-                    "items": _POSITIVE,
-                    "minItems": 2,
-                    "maxItems": 2,
-                },
-                "inertia": {
-                    "type": "array",
-                    "items": _POSITIVE,
-                    "minItems": 3,
-                    "maxItems": 3,
-                },
-            },
-        },
-        "integration": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {f.name: _POSITIVE for f in fields(IntegrationDefaults)},
-        },
-        "sampling": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "seed": {"type": "integer", "minimum": 0},
-                "count": {"type": "integer", "minimum": 1},
-            },
-        },
-        "initial_state": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "a": {"type": "array", "items": _NUMBER, "minItems": 2, "maxItems": 2},
-                "a_dot": {
-                    "type": "array",
-                    "items": _NUMBER,
-                    "minItems": 2,
-                    "maxItems": 2,
-                },
-                "w": _NUMBER,
-                "quat": {
-                    "type": "array",
-                    "items": _NUMBER,
-                    "minItems": 4,
-                    "maxItems": 4,
-                },
-                "omega": {
-                    "type": "array",
-                    "items": _NUMBER,
-                    "minItems": 3,
-                    "maxItems": 3,
-                },
-            },
-        },
-        "output": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"dir": {"type": "string"}},
-        },
+def _is_number(v) -> bool:
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+
+# A rule is (test, what) for one value, or (min_len, max_len, rule) for
+# an array whose every item meets the rule.
+_NUMBER = (_is_number, "a finite number")
+_POSITIVE = (lambda v: _is_number(v) and v > 0, "a finite number > 0")
+
+_RULES = {
+    "system": {
+        "kind": (lambda v: v in (BALL, RIGID), f"{BALL!r} or {RIGID!r}"),
+        "profile": (1, 8, _NUMBER),
+        "gravity": _POSITIVE,
+        "mass": _POSITIVE,
+        "inertia_ratio": _POSITIVE,
+        "annulus": (2, 2, _POSITIVE),
+        "inertia": (3, 3, _POSITIVE),
     },
+    "integration": {f.name: _POSITIVE for f in fields(IntegrationDefaults)},
+    "sampling": {
+        "seed": (lambda v: type(v) is int and 0 <= v < 2**64,
+                 "an integer, minimum 0, below 2**64"),
+        "count": (lambda v: type(v) is int and v >= 1, "an integer, minimum 1"),
+    },
+    "initial_state": {
+        "a": (2, 2, _NUMBER),
+        "a_dot": (2, 2, _NUMBER),
+        "w": _NUMBER,
+        "quat": (4, 4, _NUMBER),
+        "omega": (3, 3, _NUMBER),
+    },
+    "output": {"dir": (lambda v: type(v) is str, "a string")},
 }
 
 _ENV_KNOBS = {
@@ -142,56 +99,57 @@ _ENV_KNOBS = {
 }
 
 
-def _guess_line(text: str, key: str) -> Optional[int]:
-    """Best-effort line number of a key in the raw config text."""
-    needle = f'"{key}"'
-    for i, line in enumerate(text.splitlines(), start=1):
-        if needle in line:
-            return i
-    return None
-
-
-def _finite_float(token: str) -> float:
-    """JSON number hook: ``NaN``, ``Infinity`` and overflowing literals
-    such as ``1e400`` are rejected rather than read as non-finite."""
-    value = float(token)
-    if not math.isfinite(value):
-        raise ValueError(f"{token} is not a finite number")
-    return value
-
-
 def load_config(path: str) -> dict:
-    """Read, parse, and schema-validate a config file."""
+    """Read, parse, and validate a config file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as e:
         raise ConfigError(f"cannot read config {path!r}: {e}") from e
     try:
-        raw = json.loads(text, parse_float=_finite_float, parse_constant=_finite_float)
+        raw = json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError(
             f"config {path!r} is not valid JSON (line {e.lineno}): {e.msg}"
         ) from e
-    except ValueError as e:
+    except ValueError as e:  # an integer literal past Python's digit limit
         raise ConfigError(f"config {path!r}: {e}") from e
-    validator = Draft202012Validator(CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path))
-    if errors:
-        msgs = []
-        for err in errors[:5]:
-            path_keys = [str(k) for k in err.absolute_path]
-            where = "$" + "".join(
-                f"[{k}]" if k.isdigit() else f".{k}" for k in path_keys
-            )
-            line = _guess_line(text, path_keys[-1]) if path_keys else None
-            loc = f" (near line {line})" if line else ""
-            msgs.append(f"{where}{loc}: {err.message}")
-        raise ConfigError(
-            f"config {path!r} violates the schema:\n  " + "\n  ".join(msgs)
-        )
+    _check_rules(raw, path)
     _check_cross_fields(raw, path)
     return raw
+
+
+def _check_rules(raw, path: str):
+    def invalid(where, problem):
+        return ConfigError(f"config {path!r}: {where} {problem}")
+
+    if type(raw) is not dict:
+        raise invalid("$", "is not an object")
+    if "system" not in raw:
+        raise invalid("$.system", "is required")
+    for block, values in raw.items():
+        if block not in _RULES:
+            raise invalid(f"$.{block}", "is not a config block")
+        if type(values) is not dict:
+            raise invalid(f"$.{block}", "is not an object")
+        for key, value in values.items():
+            where = f"$.{block}.{key}"
+            rule = _RULES[block].get(key)
+            if rule is None:
+                raise invalid(where, f"is not a key of {block}")
+            items = {where: value}
+            if len(rule) == 3:
+                n_min, n_max, rule = rule
+                if type(value) is not list or not n_min <= len(value) <= n_max:
+                    size = n_min if n_min == n_max else f"{n_min} to {n_max}"
+                    raise invalid(where, f"is not an array of {size} items")
+                items = {f"{where}[{i}]": v for i, v in enumerate(value)}
+            test, what = rule
+            for at, v in items.items():
+                if not test(v):
+                    raise invalid(at, f"is not {what}")
+    if "kind" not in raw["system"]:
+        raise invalid("$.system.kind", "is required")
 
 
 def _check_cross_fields(raw: dict, path: str):
@@ -231,16 +189,15 @@ def resolve_config(raw: dict, seed: Optional[int] = None,
     env = os.environ if env is None else env
     integ = asdict(IntegrationDefaults())
     integ.update(raw.get("integration", {}))
+    test, what = _POSITIVE
     for var, knob in _ENV_KNOBS.items():
         if var in env:
             try:
                 value = float(env[var])
             except ValueError:
-                value = math.nan
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigError(
-                    f"{var}={env[var]!r} is not a finite positive number"
-                )
+                value = None
+            if not test(value):
+                raise ConfigError(f"{var}={env[var]!r} is not {what}")
             integ[knob] = value
 
     sampling = {"seed": 0, "count": 20}

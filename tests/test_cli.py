@@ -75,6 +75,15 @@ def test_load_config_missing_file():
             lambda d: d["sampling"].__setitem__("seed", -3),
             "minimum",
         ),
+        # an integer is an int, not an integral float
+        (lambda d: d["sampling"].__setitem__("seed", 3.0), "sampling.seed is not"),
+        # a JSON true is not a number
+        (lambda d: d["system"].__setitem__("gravity", True), "system.gravity is not"),
+        # a 401-digit literal overflows a float
+        (lambda d: d["system"].__setitem__("gravity", 10**400), "gravity is not a finite"),
+        (lambda d: d.update(system={"kind": "rigid", "inertia": [1.0, 10**400, 3.0]},
+                            initial_state={"omega": [1.1, 0.12, 0.18]}), "inertia.1."),
+        (lambda d: d.__setitem__("integration", {"t_max": 10**400}), "integration.t_max"),
     ],
 )
 def test_load_config_schema_rejections(tmp_path, mutate, fragment):
@@ -82,6 +91,8 @@ def test_load_config_schema_rejections(tmp_path, mutate, fragment):
     mutate(doc)
     with pytest.raises(ConfigError, match=fragment):
         cfg.load_config(write_config(tmp_path, doc))
+    assert run_cli("phase", "--config", write_config(tmp_path, doc), "--out",
+                   str(tmp_path)) == 2
 
 
 def test_rigid_cross_field_rules(tmp_path):
@@ -511,28 +522,33 @@ def test_nan_section_value_in_the_refinement_is_typed(tmp_path, capsys, monkeypa
                      r"at x=\d\S* is NaN; solver cannot continue.", err)
 
 
-def test_the_runtime_loads_no_scipy():
-    # a fresh interpreter runs the CLI import, one phase(), one flow_many
-    # batch and one orbit distance without importing any scipy module
+def test_the_runtime_loads_no_scipy(tmp_path):
+    # a fresh interpreter runs the CLI import, loads, resolves and builds a
+    # config, and runs one phase(), one flow_many batch and one orbit
+    # distance importing nothing beyond numpy and the standard library: no
+    # scipy module and no JSON-schema engine
     code = """
 import sys
+started = set(sys.modules)
 import numpy as np
 import reconphase.cli
 from reconphase import (
-    ball_point, flow_many, make_ball_system, phase, reduced_orbit_distance,
-    SurfaceProfile,
+    ball_point, config, flow_many, make_ball_system, phase,
+    reduced_orbit_distance, SurfaceProfile,
 )
+config.build_system(config.resolve_config(config.load_config(sys.argv[1])))
 spec = make_ball_system(SurfaceProfile((0.0, 0.5)))
 m = ball_point(spec, (0.9, -0.2), (0.1, 0.35), w=0.4)
 p = phase(spec, m)
 flow_many(spec, np.column_stack([m.y, m.y]), np.array([0.5, 1.0]))
 reduced_orbit_distance(spec, p, p._trajectory.eval(0.3 * p.tau))
-print(sorted(k for k in sys.modules if k.startswith("scipy")))
+loaded = {k.split(".")[0] for k in set(sys.modules) - started}
+print(sorted(loaded - sys.stdlib_module_names - {"numpy", "reconphase"}))
 """
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
+    run = subprocess.run([sys.executable, "-c", code, write_config(tmp_path, BALL_CONFIG)],
+                         env=env, capture_output=True, text=True, check=True)
     assert run.stdout == "[]\n"
 
 
