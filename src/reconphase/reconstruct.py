@@ -41,7 +41,7 @@ import numpy as np
 from .dynsys import BALL, PhasePoint, SystemSpec, act, state_distance
 from .errors import DomainError, PhaseInconsistencyError
 # flow is unused here but stays importable: the benchmark tracer patches it
-from .integrate import Trajectory, _period_search, flow, flow_many
+from .integrate import Trajectory, _period_search, brentq, flow, flow_many
 from .liegroup import (
     E1,
     E3,
@@ -305,94 +305,36 @@ def weyl_partner(spec: SystemSpec, m: PhasePoint, p: PhaseResult = None):
 
 def reduced_orbit_distance(spec: SystemSpec, p: PhaseResult, m2: PhasePoint):
     """Minimum distance of the reduced state of m2 (``spec.reduce_y``) to
-    the (periodic) reduced orbit recorded in p's trajectory: the closest
-    of 512 grid times, evaluated with one array call to the trajectory,
-    refined by a bounded scalar search.  Returns (distance, argmin time
-    in [0, tau)).  The reduced orbit closes at tau, so times are read
-    modulo tau and the refinement may cross the seam."""
+    the (periodic) reduced orbit recorded in p's trajectory, as (distance,
+    argmin time in [0, tau)).  The closest of 512 grid times, found with
+    one array call to the trajectory, is refined by brentq on the slope of
+    half the squared distance, ``<reduce_y(y(t)) - r2,
+    reduced_velocity(y(t))>``, in the offset s in [-h, h] around it: that
+    function is smooth where the distance has a V-shaped kink, so its
+    minimum is a root of the slope.  Times are read modulo tau, so the
+    refinement may cross the seam.  The grid node is kept when it is
+    closer than the root, and when the slope keeps one sign across the
+    bracket (a rigid body at rest is equidistant from its whole momentum
+    loop); a non-finite m2 gives a NaN distance."""
     traj = p._trajectory
     y2r = spec.reduce_y(m2.y)
-
-    def dist(t):
-        return float(np.linalg.norm(spec.reduce_y(traj.eval_y(t % p.tau)) - y2r))
-
     ts = np.linspace(0.0, p.tau, 512)
     grid = spec.reduce_y(traj.eval_y(ts % p.tau)) - y2r[:, None]
-    i = int(np.argmin(np.linalg.norm(grid, axis=0)))
-    h = ts[1]
-    # refine the offset s from the grid node: the bounded search stops at
-    # sqrt(eps)|s| + xatol/3, which is ~1e-8 in t itself but not in s
-    s, d = _bounded_min(lambda s: dist(ts[i] + s), -h, h, xatol=1e-13)
-    return d, float((ts[i] + s) % p.tau)
+    dists = np.linalg.norm(grid, axis=0)
+    i = int(np.argmin(dists))
+    d, t = float(dists[i]), float(ts[i] % p.tau)
 
+    def slope(s):
+        y = traj.eval_y((ts[i] + s) % p.tau)
+        return float((spec.reduce_y(y) - y2r) @ spec.reduced_velocity(y))
 
-def _bounded_min(func, x1, x2, xatol):
-    """Minimum of func on [x1, x2] by Brent's bounded method (golden
-    sections and parabolic steps): scipy 1.17.1's
-    ``_minimize_scalar_bounded`` on Python floats, step for step, with its
-    default budget of 500 calls.  Returns (x, func(x)), scipy's ``res.x``
-    and ``res.fun``."""
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = float(x1), float(x2)
-    fulc = a + golden_mean * (b - a)
-    nfc = xf = fulc
-    rat = e = 0.0
-    fx = func(xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:  # try a parabolic fit
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                golden = False
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if x - a < tol2 or b - x < tol2:
-                    rat = tol1 if xm - xf >= 0.0 else -tol1
-        if golden:
-            e = (a if xf >= xm else b) - xf
-            rat = golden_mean * e
-        step = max(abs(rat), tol1)
-        x = xf + (step if rat >= 0.0 else -step)
-        fu = func(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= 500:
-            break
-    return xf, fx
+    try:
+        s, _ = brentq(slope, -ts[1], ts[1], xtol=1e-13, rtol=1e-15)
+    except (ValueError, RuntimeError):  # one sign, or a NaN slope
+        return d, t
+    t_s = float((ts[i] + s) % p.tau)
+    d_s = float(np.linalg.norm(spec.reduce_y(traj.eval_y(t_s)) - y2r))
+    return (d_s, t_s) if d_s < d else (d, t)
 
 
 def same_petal(

@@ -15,7 +15,8 @@ from reconphase.dynsys import (
     state_distance,
 )
 from reconphase.errors import DomainError, PhaseInconsistencyError
-from reconphase.integrate import flow
+import reconphase.reconstruct as reconstruct
+from reconphase.integrate import brentq, flow
 from reconphase.liegroup import (
     GroupElement,
     Rotation,
@@ -26,6 +27,7 @@ from reconphase.liegroup import (
     torus_coords,
 )
 from reconphase.cli import TORUS_PROBE
+from reconphase.verify import sample_rigid
 from reconphase.reconstruct import (
     PhaseResult,
     conjugacy_residuals,
@@ -337,7 +339,8 @@ def test_flower_points_share_reduced_orbit(ball):
     for alpha in (0.2, 0.85):
         # the frame point is read off m's period trajectory; a fresh flow
         # from it must stay on m's reduced orbit (equivariance). Floor set
-        # by one half-period integration at rtol 1e-10 and the minimiser
+        # by one half-period integration at rtol 1e-10, not by the closest
+        # approach, which resolves the time to about 1e-13
         x = flow(spec, flower_frame(spec, p, alpha, g), 0.5 * p.tau)
         d, _ = reduced_orbit_distance(spec, p, x)
         assert d < 1e-7
@@ -378,10 +381,45 @@ def test_reduced_orbit_distance_wraps_the_period_seam(request, system):
         theta, Rotation.from_axis_angle([0.4, -0.7, 0.59], 2.1), spec.group
     )
     points = [p._trajectory.eval(p.tau - e * h) for e in (0.1, 0.3, 0.45)]
+    points.append(p._trajectory.eval(0.1 * h))  # just after the seam
     for x in points + [flower_frame(spec, p, 0.85, g)]:
         d, t = reduced_orbit_distance(spec, p, x)
         assert d < 1e-10
         assert 0.0 <= t < p.tau
+
+
+def test_reduced_orbit_distance_of_a_body_at_rest(monkeypatch):
+    # a rigid body at rest reduces to 0, equidistant from the whole
+    # momentum loop: the slope is rounding noise and keeps one sign across
+    # the bracket on some orbits, where the grid node is the answer
+    spec = make_rigid_body((1.0, 2.0, 3.0))
+    x = rigid_point(spec, Rotation.identity(), omega=(0.0, 0.0, 0.0))
+    one_sign = []
+
+    def recording(*args, **kwargs):
+        try:
+            return brentq(*args, **kwargs)
+        except ValueError:
+            one_sign.append(None)
+            raise
+
+    monkeypatch.setattr(reconstruct, "brentq", recording)
+    for m in sample_rigid(spec, np.random.default_rng(3), 6):
+        p = phase(spec, m)
+        d, t = reduced_orbit_distance(spec, p, x)
+        assert abs(d - spec.momentum_norm_y(m.y)) < 1e-9
+        assert 0.0 <= t < p.tau
+    assert one_sign
+
+
+@pytest.mark.parametrize("system", ["ball", "rigid"])
+def test_reduced_orbit_distance_of_a_nan_probe_is_nan(request, system):
+    spec, m, p = request.getfixturevalue(system)
+    y = m.y.copy()
+    y[spec.reduced_rows[0]] = math.nan
+    d, t = reduced_orbit_distance(spec, p, spec.unpack(y))
+    assert math.isnan(d)
+    assert 0.0 <= t < p.tau
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """The runtime's owned copies of scipy's numerics, pinned to scipy bit for
-bit: the DOP853 tableau, the dense output, brentq and the bounded scalar
-search.  scipy is the reference here only; the package imports none of
-it (``test_cli.py::test_the_runtime_loads_no_scipy``)."""
+bit: the DOP853 tableau, the dense output and brentq.  The closest
+approach to a reduced orbit is held to scipy's bounded scalar search
+instead: at least as close on every probe.  scipy is the reference here
+only; the package imports none of it
+(``test_cli.py::test_the_runtime_loads_no_scipy``)."""
 
 import math
 
@@ -9,7 +11,6 @@ import numpy as np
 import pytest
 
 import reconphase.integrate as integrate
-import reconphase.reconstruct as reconstruct
 from reconphase import _dop853
 from reconphase.dynsys import (
     SurfaceProfile,
@@ -146,22 +147,11 @@ def test_brentq_is_scipys_on_the_samplers_refinements(systems, kind, monkeypatch
 
 
 @pytest.mark.parametrize("kind", ["ball", "rigid"])
-def test_the_bounded_search_is_scipys(systems, kind, monkeypatch):
-    # x and fun of scipy's minimize_scalar(method="bounded") on every
-    # reduced_orbit_distance call: points on the orbit, on a flower frame
-    # and off it, and an other sampled orbit's start
-    own = reconstruct._bounded_min
-    seen = []
-
-    def both(func, x1, x2, xatol):
-        x, fx = own(func, x1, x2, xatol)
-        ref = optimize.minimize_scalar(func, bounds=(x1, x2), method="bounded",
-                                       options={"xatol": xatol})
-        assert (x.hex(), fx.hex()) == (float(ref.x).hex(), float(ref.fun).hex())
-        seen.append(x)
-        return x, fx
-
-    monkeypatch.setattr(reconstruct, "_bounded_min", both)
+def test_the_closest_approach_beats_scipys_bounded_search(systems, kind):
+    # points on the orbit, on a flower frame and off it, and other sampled
+    # orbits' starts: the distance is no larger than scipy's
+    # minimize_scalar(method="bounded") finds in the grid node's bracket,
+    # nor than the grid node's, and it is the distance at the returned time
     spec, m = systems[kind]
     p = phase(spec, m)
     traj = p._trajectory
@@ -171,6 +161,19 @@ def test_the_bounded_search_is_scipys(systems, kind, monkeypatch):
     points.append(act(g, traj.eval(0.31 * p.tau)))
     points.append(spec.unpack(traj.eval_y(0.6 * p.tau) * 1.01))
     points += sample_points(spec, np.random.default_rng(5), 2)
+    ts = np.linspace(0.0, p.tau, 512)
     for m2 in points:
-        reduced_orbit_distance(spec, p, m2)
-    assert len(seen) == len(points)
+        y2r = spec.reduce_y(m2.y)
+
+        def dist(t):
+            return float(np.linalg.norm(spec.reduce_y(traj.eval_y(t % p.tau)) - y2r))
+
+        grid = np.linalg.norm(spec.reduce_y(traj.eval_y(ts % p.tau)) - y2r[:, None], axis=0)
+        i = int(np.argmin(grid))
+        ref = optimize.minimize_scalar(lambda s: dist(ts[i] + s), bounds=(-ts[1], ts[1]),
+                                       method="bounded", options={"xatol": 1e-13})
+        d, t = reduced_orbit_distance(spec, p, m2)
+        assert d <= float(ref.fun) + 1e-15
+        assert d <= grid[i]
+        assert 0.0 <= t < p.tau
+        assert abs(d - dist(t)) <= 1e-15

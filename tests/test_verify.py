@@ -338,6 +338,27 @@ def test_nan_residual_fails_the_check(rigid_spec, rigid_samples, monkeypatch, na
     assert '"max_residual": NaN' in json.dumps(rep.to_dict())
 
 
+def test_nan_orbit_probe_fails_flower_invariants(rigid_spec, rigid_samples, monkeypatch):
+    # a frame whose fresh flow turns NaN is scored NaN by the closest
+    # approach, so the check fails on it rather than raising
+    real = verify.flow
+    calls = []
+
+    def nan_for_one_frame(spec, m, t):
+        calls.append(None)
+        x = real(spec, m, t)
+        if len(calls) == 2:
+            y = x.y.copy()
+            y[list(spec.reduced_rows)] = math.nan
+            x = spec.unpack(y)
+        return x
+
+    monkeypatch.setattr(verify, "flow", nan_for_one_frame)
+    rep = check_flower_invariants(rigid_spec, rigid_samples[:1], 1e-6, seed=0, n_frames=3)
+    assert len(calls) == 3
+    assert rep.verdict == "fail" and math.isnan(rep.max_residual)
+
+
 @pytest.mark.parametrize("check", [check_phase_conserved, check_equivariance,
                                    check_delta_integral,
                                    check_frequency_flower_constancy])
