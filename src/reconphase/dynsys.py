@@ -457,6 +457,29 @@ class SystemSpec:
         """The rows of a packed state that reduce_y reads."""
         return (0, 1, 2, 3, 8) if self.kind == BALL else (4, 5, 6)
 
+    def reduced_gradient(self, y: list, v: list) -> list:
+        """The gradient of <reduce_y(y), v> in the rows ``reduced_rows`` of
+        a list of floats y, in that order.  reduce_y is quadratic in the
+        ball's rows and linear in the rigid body's, so the gradient is
+        linear in y."""
+        if self.kind == BALL:
+            a1, a2, ad1, ad2 = y[0], y[1], y[2], y[3]
+            v0, v1, v2, v3 = v
+            return [v0 * a1 + v1 * ad1 + v2 * ad2, v0 * a2 + v1 * ad2 - v2 * ad1,
+                    v1 * a1 - v0 * ad1 - v2 * a2, v1 * a2 - v0 * ad2 + v2 * a1, v3]
+        I1, I2, I3 = self.inertia.tolist()
+        return [v[0] * I1, v[1] * I2, v[2] * I3]
+
+    def reduced_curvature(self, v: list) -> float:
+        """A bound k on the quadratic part of <reduce_y, v>: for a shift e
+        of the rows ``reduced_rows``, <reduce_y(y + e) - reduce_y(y), v>
+        is the gradient at y times e plus a term of size at most
+        k * sum(e_j**2).  Each of the ball's three quadratic components
+        is at most sum(e_j**2) / 2 in size; the rigid body has none."""
+        if self.kind == BALL:
+            return 0.5 * (abs(v[0]) + abs(v[1]) + abs(v[2]))
+        return 0.0
+
     def reduced_velocity(self, y: np.ndarray) -> np.ndarray:
         """Time derivative of reduce_y along the flow (analytic)."""
         if self.kind == BALL:

@@ -31,26 +31,39 @@ width, so the batch pays only with several columns.
 
 Period detection marches the flow while watching the section function
 sigma(t) = <reduced(t) - reduced(0), v0_hat> (v0 = initial reduced
-velocity).  Each accepted step samples sigma at 17 equally spaced times
-(16 sub-intervals) with one call to the step's interpolant on an array
-of times and one reduction of its columns.  At every sign change of
-sigma from negative to positive the crossing time is refined by brentq
-on Python floats: each value reads the interpolant at one time, only in
-the rows the reduction reads, then the reduction and the sum with
-v0_hat, each in the scan's order.  A time gets the same bits in the
-scan and in the refinement, so the two agree on every sign.  The first
-refined crossing beyond the minimal-period floor whose reduced state
-also returns to the start (closure) is the period.  Crossings that fail
-closure are other intersections of the reduced orbit with the section
-hyperplane and are skipped; if only such crossings exist up to t_max the
-orbit is reported as not periodic.  A refinement that fails inside its
-bracket raises ``SectionRefinementError``.
+velocity).  Each accepted step first runs one test on the Python floats
+the marcher holds (``_Section.may_cross``): the interpolant stays within
+a per-row bound of the chord between the step's ends, sigma is at most
+quadratic along the chord, and its gradient and curvature bound
+(``SystemSpec.reduced_gradient``, ``reduced_curvature``) bound how far
+the remainder moves it.  When that enclosure lies above or below zero
+by more than a rounding slack, sigma keeps one sign on the step and the
+step is not scanned; a value that is not finite scans it.  The test
+only excludes steps, by a bound rather than a heuristic (event location
+on a step's own data: Shampine & Thompson, Comput. Math. Appl. 39
+(2000) 43), so every crossing, bracket and output keeps its bits;
+``Trajectory.n_scanned`` counts the scanned steps.  A scanned step
+samples sigma at 17 equally spaced times (16 sub-intervals) with
+one call to the step's interpolant on an array of times and one
+reduction of its columns.  At every sign change of sigma from negative
+to positive the crossing time is refined by brentq on Python floats:
+each value reads the interpolant at one time, only in the rows the
+reduction reads, then the reduction and the sum with v0_hat, each in
+the scan's order.  A time gets the same bits in the scan and in the
+refinement, so the two agree on every sign.  The first refined crossing
+beyond the minimal-period floor whose reduced state also returns to the
+start (closure) is the period.  Crossings that fail closure are other
+intersections of the reduced orbit with the section hyperplane and are
+skipped; if only such crossings exist up to t_max the orbit is reported
+as not periodic.  A refinement that fails inside its bracket raises
+``SectionRefinementError``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter, mul
 
 import numpy as np
 
@@ -238,6 +251,7 @@ class Trajectory:
     n_accepted: int = 0
     n_rejected: int = 0
     n_rhs_evals: int = 0
+    n_scanned: int = 0
 
     @property
     def t0(self) -> float:
@@ -279,8 +293,9 @@ class _Marcher:
     to ``t_bound``, fixing the quaternion after each step.  ``sign = -1``
     marches the negated field (the field and a failure see the time
     ``sign * t``); with ``dense`` (forward only) each step's interpolant is
-    kept.  ``_lockstep`` starts a column from ``f`` and ``h_abs``, the
-    start's field and first step size."""
+    kept, and ``floats`` holds the last one's start state and F rows as
+    Python floats.  ``_lockstep`` starts a column from ``f`` and
+    ``h_abs``, the start's field and first step size."""
 
     def __init__(self, spec: SystemSpec, y0, t_bound, rtol, atol, sign=1.0,
                  dense=False):
@@ -373,6 +388,7 @@ class _Marcher:
              [h * f - d for f, d in zip(K[0], dy)],
              [2 * d - h * (g + f) for d, g, f in zip(dy, K[_dop.N_STAGES], K[0])],
              *(row(y, K, h) for row in _D_ROWS)]
+        self.floats = y, F
         dense = _Segment(t, t_new, np.array(y), np.array(F))
         self.traj.segments.append(dense)
         return dense
@@ -579,10 +595,55 @@ class _Section:
 
     def __init__(self, spec: SystemSpec, rp0, v0n):
         self.spec, self.rp0, self.v0n = spec, rp0.tolist(), v0n.tolist()
+        # may_cross's constants: the reduced rows, the curvature bound,
+        # <rp0, v0n> and the size of rp0
+        self.pick = itemgetter(*spec.reduced_rows)
+        self.curvature = spec.reduced_curvature(self.v0n)
+        self.level = sum(map(mul, self.v0n, self.rp0))
+        self.size = sum(map(abs, self.rp0))
 
     def __call__(self, y):
         reduced = self.spec.reduce_y(y)
         return sum(v * (r - p) for v, r, p in zip(self.v0n, reduced, self.rp0))
+
+    def may_cross(self, y, F):
+        """False when sigma keeps one sign on the whole step whose
+        interpolant starts at the list ``y`` with the F rows ``F`` (lists
+        of floats), by more than rounding: then no scan of the step can
+        read a sign change.  True otherwise, and when a value is not
+        finite.
+
+        The interpolant is y + x*(F0 + (1 - x)*(F1 + x*(F2 + ...))) with x
+        and 1 - x in [0, 1], so in each row it lies within
+        eps = sum(|F_k|, k >= 1) / 4 of the chord y + x*F0.  On the chord
+        sigma is s0 + b*x + c*x**2, whose range on [0, 1] is that of its
+        values at both ends and at the vertex.  Off the chord sigma moves
+        by at most its gradient times eps plus its curvature bound on
+        eps; the gradient is linear in y, so its size on the chord is
+        largest at an end.  The slack covers the rounding of every term,
+        at 1e-12 of the sizes of the reduced states and of rp0."""
+        spec, v, pick = self.spec, self.v0n, self.pick
+        F0 = F[0]
+        y1 = [a + f for a, f in zip(y, F0)]
+        r0, r1 = spec.reduce_y(y), spec.reduce_y(y1)
+        g0, g1 = spec.reduced_gradient(y, v), spec.reduced_gradient(y1, v)
+        s0 = sum(map(mul, v, r0)) - self.level
+        s1 = sum(map(mul, v, r1)) - self.level
+        # the chord's slope at y, so that c = s1 - s0 - b
+        b = sum(map(mul, g0, pick(F0)))
+        eps = [0.25 * sum(map(abs, fs)) for fs in zip(*map(pick, F[1:]))]
+        reach = (sum(map(mul, map(max, map(abs, g0), map(abs, g1)), eps))
+                 + self.curvature * sum(map(mul, eps, eps)))
+        slack = 1e-12 * (sum(map(abs, r0)) + sum(map(abs, r1)) + self.size)
+        if not math.isfinite(s0 + s1 + b + reach + slack):
+            return True
+        lo, hi = (s0, s1) if s0 < s1 else (s1, s0)
+        c = s1 - s0 - b
+        if c != 0.0 and 0.0 < -b / (2.0 * c) < 1.0:
+            vertex = s0 - b * b / (4.0 * c)
+            lo, hi = min(lo, vertex), max(hi, vertex)
+        margin = reach + slack
+        return not (lo > margin or hi < -margin)
 
     def on_floats(self, seg):
         """sigma at one time of the step's interpolant ``seg``, on Python
@@ -620,6 +681,9 @@ def _period_search(spec: SystemSpec, m: PhasePoint, s: IntegrationDefaults):
     n_sub = 16
     while not marcher.finished:
         seg = marcher.step()
+        if not section.may_cross(*marcher.floats):
+            continue
+        traj.n_scanned += 1
         ts = np.linspace(seg.t_old, seg.t, n_sub + 1)
         vals = section(seg(ts)).tolist()
         ts = ts.tolist()

@@ -79,7 +79,9 @@ class Rotation:
             raise ValueError("quaternion must have shape (4,)")
         if normalize:
             n = math.sqrt(float(q @ q))
-            if not math.isfinite(n) or n < 1e-12:
+            if not math.isfinite(n):
+                raise ValueError(f"quaternion norm is not finite: {q.tolist()}")
+            if n < 1e-12:
                 raise ValueError("quaternion norm too small to normalize")
             q = q / n
         else:

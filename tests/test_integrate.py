@@ -39,6 +39,7 @@ from reconphase.integrate import (
     _Marcher,
     _period_search,
     _Section,
+    _Segment,
     brentq,
     find_reduced_period,
     flow,
@@ -498,7 +499,9 @@ def test_ball_period_closure(ball, mball):
 def test_phase_bits_and_work_are_pinned(ball, rigid, system, tau, theta, quat, counts):
     # tau and gamma to the last bit, and the accepted and rejected steps
     # and field evaluations that found them, on the README ball orbit and
-    # rigid [1,2,3] with omega (1, 0.2, 0.3)
+    # rigid [1,2,3] with omega (1, 0.2, 0.3); on both the period search
+    # scans 3 steps: the first (sigma starts at 0) and the two where sigma
+    # changes sign, falling and then rising at the period
     if system == "ball":
         spec, m = ball, ball_point(ball, (0.9, -0.2), (0.1, 0.35), w=0.4)
     else:
@@ -509,6 +512,7 @@ def test_phase_bits_and_work_are_pinned(ball, rigid, system, tau, theta, quat, c
     assert float(p.gamma.theta).hex() == theta
     assert [v.hex() for v in p.gamma.rot.q.tolist()] == quat
     assert (traj.n_accepted, traj.n_rejected, traj.n_rhs_evals) == counts
+    assert traj.n_scanned == 3
 
 
 @pytest.mark.parametrize("system", ["ball", "ball_cubic", "rigid"])
@@ -535,6 +539,110 @@ def test_scan_and_refinement_agree_on_every_bit(ball, rigid, system):
         values = [refine(t) for t in ts.tolist()]
         assert all(type(v) is float for v in values)
         assert [v.hex() for v in values] == [v.hex() for v in scan]
+
+
+def _scan_marks(section, seg):
+    """Whether the period search's 17-point scan of the step reads sigma
+    rising from below zero to zero or above."""
+    vals = section(seg(np.linspace(seg.t_old, seg.t, 17))).tolist()
+    return any(a < 0.0 <= b for a, b in zip(vals, vals[1:]))
+
+
+@pytest.mark.parametrize("kind", ["ball", "rigid"])
+def test_may_cross_passes_every_step_the_full_scan_marks(kind, sampled):
+    # from criterion 11's crude tolerances to rtol 1e-13, every step whose
+    # 17-point scan reads a rising sign change passes may_cross; at the
+    # default tolerances most steps do not.  (At the crude ones the ball's
+    # marches leave the annulus after a step or a few.)
+    spec, points, _ = sampled[kind]
+    for rtol, atol in [(1e-2, 1e-2), (1e-4, 1e-6), (1e-7, 1e-9), (1e-10, 1e-12),
+                       (1e-13, 1e-14)]:
+        steps = scanned = 0
+        for m in points:
+            y0 = spec.pack(m)
+            v0 = spec.reduced_velocity(y0)
+            section = _Section(spec, spec.reduce_y(y0), v0 / np.linalg.norm(v0))
+            marcher = _Marcher(spec, y0, 1e3, rtol, atol, dense=True)
+            for _ in range(100):
+                try:
+                    seg = marcher.step()
+                except IntegrationError:
+                    break
+                flagged = section.may_cross(*marcher.floats)
+                assert flagged or not _scan_marks(section, seg), (rtol, seg.t_old)
+                steps += 1
+                scanned += flagged
+        assert steps >= len(points)
+        if rtol == 1e-10:
+            assert scanned < 0.2 * steps
+
+
+@pytest.mark.parametrize("kind", ["ball", "rigid"])
+def test_a_skipped_step_keeps_one_sign_on_a_fine_grid(ball, rigid, kind):
+    # random steps: states, F rows from 1e-10 to 10 in size, section
+    # planes and start points near the states; whenever may_cross skips a
+    # step, sigma has one strict sign at 513 times of its interpolant
+    spec = ball if kind == "ball" else rigid
+    rng = np.random.default_rng(5)
+    skipped = 0
+    for _ in range(1500):
+        y = rng.normal(size=spec.nstate)
+        scale = 10.0 ** rng.uniform(-6, 1)
+        F = rng.normal(size=(7, spec.nstate)) * scale * 10.0 ** rng.uniform(-4, 0, (7, 1))
+        rp0 = spec.reduce_y(y + rng.normal(size=spec.nstate) * scale * rng.uniform(0, 2))
+        v0n = rng.normal(size=4) * ([1, 1, 1, kind == "ball"])
+        section = _Section(spec, rp0, v0n / np.linalg.norm(v0n))
+        if not section.may_cross(y.tolist(), F.tolist()):
+            skipped += 1
+            vals = section(_Segment(0.0, 1.0, y, F)(np.linspace(0.0, 1.0, 513)))
+            assert np.all(vals > 0.0) or np.all(vals < 0.0)
+    assert 500 < skipped < 1400
+
+
+def _hand_built(spec, rp0, y, F0, F1):
+    """A section with v0n = e1 and the given rp0, and a step from ``y``
+    with the F rows ``F0``, ``F1`` and zeros: the marcher's lists of
+    floats and the step's segment."""
+    y, F0, F1 = ([float(v) for v in row] for row in (y, F0, F1))
+    F = [F0, F1] + [[0.0] * spec.nstate for _ in range(5)]
+    section = _Section(spec, np.array(rp0, dtype=float), np.array([1.0, 0.0, 0.0, 0.0]))
+    return section, y, F, _Segment(0.0, 1.0, np.array(y), np.array(F))
+
+
+@pytest.mark.parametrize("kind, F0, F1, crossed", [
+    # rigid: sigma = omega1 is 1 at both nodes; F1 bends it by x(1 - x)*F1
+    ("rigid", [0] * 7, [0, 0, 0, 0, -20, 0, 0], True),
+    ("rigid", [0] * 7, [0, 0, 0, 0, -2, 0, 0], False),
+    # ball: sigma = (|a|^2 - |a_dot|^2)/2 - 1/4 is 1/4 at both nodes of a
+    # straight step through a = 0, and stays positive on a shorter one
+    ("ball", [-2] + [0] * 8, [0] * 9, True),
+    ("ball", [-0.2] + [0] * 8, [0] * 9, False),
+])
+def test_may_cross_passes_a_dip_between_positive_nodes(ball, rigid, kind, F0, F1, crossed):
+    if kind == "ball":
+        spec, rp0, y = ball, [0.25, 0, 0, 0], [1, 0, 0, 0, 1, 0, 0, 0, 0]
+    else:
+        spec, rp0, y = rigid, [0, 0, 0, 0], [1, 0, 0, 0, 1, 0, 0]
+    section, y, F, seg = _hand_built(spec, rp0, y, F0, F1)
+    assert _scan_marks(section, seg) is crossed
+    assert section.may_cross(y, F) is crossed
+
+
+@pytest.mark.parametrize("row, value", [
+    (None, math.nan), (0, math.nan), (1, math.nan), (1, math.inf), (6, -math.inf),
+])
+def test_may_cross_passes_a_step_with_a_non_finite_value(rigid, row, value):
+    # sigma = omega1 stays near 1 on this step, which is skipped; a
+    # non-finite F row, or start value in a row the reduction reads,
+    # scans it
+    section, y, F, _ = _hand_built(rigid, [0] * 4, [1, 0, 0, 0, 1, 0, 0],
+                                   [0] * 7, [0, 0, 0, 0, -0.1, 0, 0])
+    assert section.may_cross(y, F) is False
+    if row is None:
+        y[4] = value
+    else:
+        F[row] = [value] * rigid.nstate
+    assert section.may_cross(y, F) is True
 
 
 def test_rigid_linearized_period_near_stable_axis(rigid):

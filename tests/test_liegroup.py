@@ -79,6 +79,18 @@ def test_quaternion_canonicalization():
     assert r2.q[1] == 1.0
 
 
+@pytest.mark.parametrize("q, message", [
+    ([math.nan, 0.0, 0.0, 0.0], "quaternion norm is not finite: [nan, 0.0, 0.0, 0.0]"),
+    ([1.0, math.inf, 0.0, 0.0], "quaternion norm is not finite: [1.0, inf, 0.0, 0.0]"),
+    ([1e-13, 0.0, 0.0, 0.0], "quaternion norm too small to normalize"),
+])
+def test_quaternion_that_cannot_be_normalized(q, message):
+    # a state whose integration blew up reads as not finite, not as small
+    with pytest.raises(ValueError) as exc:
+        Rotation(np.array(q))
+    assert str(exc.value) == message
+
+
 def test_compose_apply_consistency():
     a = exp_so3(np.array([0.2, 0.1, -0.4]))
     b = exp_so3(np.array([-0.7, 0.3, 0.9]))
