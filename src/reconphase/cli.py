@@ -333,7 +333,8 @@ def cmd_sweep(resolved: dict, param: str, values) -> int:
 
 
 def _parse_values(text: str):
-    """lo:hi:n (inclusive linspace) or a comma-separated list."""
+    """lo:hi:n (inclusive linspace) or a comma-separated list; every
+    value, given or generated, must be finite."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -341,8 +342,13 @@ def _parse_values(text: str):
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
         if n < 2:
             raise argparse.ArgumentTypeError("--values needs n >= 2")
-        return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-    return [float(tok) for tok in text.split(",") if tok]
+        values = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+    else:
+        values = [float(tok) for tok in text.split(",") if tok]
+    if not all(map(math.isfinite, values)):
+        raise argparse.ArgumentTypeError(f"--values {text} gives a value that "
+                                         "is not finite")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -18,16 +18,17 @@ makes dense evaluation reproduce the nodes to rounding.  ``flow()``
 builds no interpolant; its steps are the same either way.
 
 ``flow_many`` runs many fixed-horizon flows as one lockstep batch over
-packed columns (torchode, Lienen & Günnemann, arXiv:2210.12375): each
-column with its own step size and accept/reject decision, compacted
-away once it finishes or fails.  A column's field is the marcher's own
-``SystemSpec.rhs`` call on the column's floats, and every sum is the
-marcher's tableau row, run on one block of all live columns, so a
-column ends on the bits of ``flow()`` from its start, whatever shares
-its batch.  A column takes its first step from a marcher, and the
-lowest failed column is re-run alone by the marcher, which raises
-``flow()``'s error.  The block sums cost the same numpy calls at any
-width, so the batch pays only with several columns.
+packed columns (torchode, Lienen & Günnemann, arXiv:2210.12375), with
+one marcher per column.  The marcher's step is made of pieces (the
+attempt's size, the verdict on its error sums, the acceptance and the
+domain-exit failure), and each column's marcher runs them, so a column
+has its own step size, accept/reject decision, field calls, counters
+and failure.  Only the stage rows, the error scale and the E5/E3 sums
+run on one block of all live columns, as the marcher's tableau rows.
+A column therefore ends on the bits of ``flow()`` from its start, or
+fails with its error, whatever shares its batch.  The block sums cost
+the same numpy calls at any width, so the batch pays only with several
+columns.
 
 Period detection marches the flow while watching the section function
 sigma(t) = <reduced(t) - reduced(0), v0_hat> (v0 = initial reduced
@@ -149,49 +150,11 @@ def _rms(x):
     return math.sqrt(_sumsq(x)) / len(x) ** 0.5
 
 
-def _per_column(fn, *arrays):
-    """``fn`` on each column's Python floats, as the marcher computes it."""
-    return np.array([fn(*v) for v in zip(*(a.tolist() for a in arrays))])
-
-
-def _fields(spec: SystemSpec, ts, ys):
-    """``spec.rhs`` at each column of ``ys`` (nstate, n) and its time in
-    ``ts``, on the column's Python floats: the (nstate, n) fields and a
-    boolean (n,) mask of the columns outside the domain, whose call raised
-    DomainError and whose fields are left zero."""
-    fs = np.zeros_like(ys)
-    outside = np.zeros(ys.shape[1], dtype=bool)
-    for j, (t, y) in enumerate(zip(ts.tolist(), ys.T.tolist())):
-        try:
-            fs[:, j] = spec.rhs(t, y)
-        except DomainError:
-            outside[j] = True
-    return fs, outside
-
-
 def _initial_step(d0, d1, d2, h0):
     """scipy's ``select_initial_step`` from its norms."""
     if d1 <= 1e-15 and d2 <= 1e-15:
         return max(1e-6, h0 * 1e-3)
     return (0.01 / max(d1, d2)) ** -_ERROR_EXPONENT
-
-
-def _error_norm(e5, e3, h, n):
-    """scipy's error norm of a step h from its scaled error sums of squares."""
-    if e5 == 0.0 and e3 == 0.0:
-        return 0.0
-    return h * e5 / math.sqrt((e5 + 0.01 * e3) * n)
-
-
-def _step_factor(norm, retried):
-    """scipy's step-size factor after an attempt with error ``norm``; the
-    retry of a rejected step may not grow it."""
-    if norm < 1.0:
-        if norm == 0.0:
-            return MAX_FACTOR
-        factor = min(MAX_FACTOR, SAFETY * norm ** _ERROR_EXPONENT)
-        return min(1.0, factor) if retried else factor
-    return max(MIN_FACTOR, SAFETY * norm ** _ERROR_EXPONENT)
 
 
 class _Segment:
@@ -294,8 +257,9 @@ class _Marcher:
     marches the negated field (the field and a failure see the time
     ``sign * t``); with ``dense`` (forward only) each step's interpolant is
     kept, and ``floats`` holds the last one's start state and F rows as
-    Python floats.  ``_lockstep`` starts a column from ``f`` and
-    ``h_abs``, the start's field and first step size."""
+    Python floats.  A step is made of the pieces ``_attempt``,
+    ``_verdict`` and ``_accept`` (and ``_left_domain`` when the field
+    raises), which ``_lockstep`` drives for a batch column."""
 
     def __init__(self, spec: SystemSpec, y0, t_bound, rtol, atol, sign=1.0,
                  dense=False):
@@ -304,7 +268,7 @@ class _Marcher:
         self.rtol, self.atol, self.sign, self.dense = rtol, atol, sign, dense
         self.traj = Trajectory(spec, [0.0], [y0], [])
         self.t, self.y = 0.0, y0.tolist()
-        self.finished = self.t_bound == 0.0
+        self.finished, self.retried = self.t_bound == 0.0, False
         if not self.finished:
             try:
                 self.f = self._eval(0.0, self.y)
@@ -333,46 +297,78 @@ class _Marcher:
     def step(self):
         """Advance one accepted step; returns its interpolant when dense
         output is kept, else None."""
-        spec, traj, t, y = self.spec, self.traj, self.t, self.y
-        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
-        h_abs, retried = max(self.h_abs, min_step), False
+        t, y = self.t, self.y
         try:
             while True:
-                if h_abs < min_step:
-                    raise _failure(spec, "step-size underflow: Required step size "
-                                   "is less than spacing between numbers.",
-                                   traj.states[-1], self.sign * t)
-                t_new = min(t + h_abs, self.t_bound)
-                h = t_new - t
+                t_new, h = self._attempt()
                 K = [self.f]
                 for c, row in _STAGES[:_dop.N_STAGES]:
                     y_new = row(y, K, h * self.sign)
                     K.append(self._eval(t + c * h, y_new))
                 scale = [self.atol + max(abs(a), abs(b)) * self.rtol
                          for a, b in zip(y, y_new)]
-                norm = _error_norm(_sumsq(_E5_ROW(scale, K, None)),
-                                   _sumsq(_E3_ROW(scale, K, None)), h, spec.nstate)
-                h_abs = h * _step_factor(norm, retried)
-                if norm < 1.0:
-                    break
-                retried = True
-                traj.n_rejected += 1
-            y_fix = list(y_new)
-            q = y_fix[spec.quat_slice]
-            n = math.sqrt(_sumsq(q))
-            y_fix[spec.quat_slice] = [v / n for v in q]
-            dense = self._interpolant(K, y_new, y_fix, t_new) if self.dense else None
-            # continue the march from the renormalized state
-            self.f = self._eval(t_new, y_fix)
+                if self._verdict(_sumsq(_E5_ROW(scale, K, None)),
+                                 _sumsq(_E3_ROW(scale, K, None)), h):
+                    return self._accept(t_new, y_new, K)
         except DomainError as e:
-            raise _failure(spec, "trajectory left the domain", traj.states[-1],
-                           self.sign * t, e)
-        self.t, self.y, self.h_abs = t_new, y_fix, h_abs
-        traj.times.append(t_new)
-        traj.states.append(np.array(y_fix))
-        traj.n_accepted += 1
+            raise self._left_domain(e)
+
+    def _attempt(self):
+        """The next attempt's end time and size (t_new, h); raises the
+        step-size underflow when a retry falls below the spacing of the
+        floats at t."""
+        t = self.t
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+        h_abs = self.h_abs if self.retried else max(self.h_abs, min_step)
+        if h_abs < min_step:
+            raise _failure(self.spec, "step-size underflow: Required step size "
+                           "is less than spacing between numbers.",
+                           self.traj.states[-1], self.sign * t)
+        t_new = min(t + h_abs, self.t_bound)
+        return t_new, t_new - t
+
+    def _verdict(self, e5, e3, h):
+        """scipy's verdict on the attempt of size h from its scaled error
+        sums of squares ``e5`` and ``e3``: the error norm sets the next
+        step size, which the retry of a rejected step may not grow.  True
+        when the attempt is accepted; a rejection is counted."""
+        norm = 0.0 if e5 == 0.0 and e3 == 0.0 else (
+            h * e5 / math.sqrt((e5 + 0.01 * e3) * self.spec.nstate))
+        if norm == 0.0:
+            factor = MAX_FACTOR
+        elif norm < 1.0:
+            factor = min(MAX_FACTOR, SAFETY * norm ** _ERROR_EXPONENT)
+            factor = min(1.0, factor) if self.retried else factor
+        else:
+            factor = max(MIN_FACTOR, SAFETY * norm ** _ERROR_EXPONENT)
+        self.h_abs = h * factor
+        self.retried = not norm < 1.0
+        self.traj.n_rejected += self.retried
+        return not self.retried
+
+    def _accept(self, t_new, y_new, K):
+        """Take the accepted attempt ending at ``t_new`` in ``y_new`` with
+        stages K: renormalize the quaternion, keep the interpolant when
+        dense (returned, else None) and recompute f at the new state."""
+        y_fix = list(y_new)
+        q = y_fix[self.spec.quat_slice]
+        n = math.sqrt(_sumsq(q))
+        y_fix[self.spec.quat_slice] = [v / n for v in q]
+        dense = self._interpolant(K, y_new, y_fix, t_new) if self.dense else None
+        # continue the march from the renormalized state
+        self.f = self._eval(t_new, y_fix)
+        self.t, self.y = t_new, y_fix
+        self.traj.times.append(t_new)
+        self.traj.states.append(np.array(y_fix))
+        self.traj.n_accepted += 1
         self.finished = t_new >= self.t_bound
         return dense
+
+    def _left_domain(self, cause):
+        """The failure of an attempt whose field raised the DomainError
+        ``cause``, at the last accepted state."""
+        return _failure(self.spec, "trajectory left the domain",
+                        self.traj.states[-1], self.sign * self.t, cause)
 
     def _interpolant(self, K, y_new, y_fix, t_new):
         """The interpolant of the step from ``self.y`` to ``y_new`` at
@@ -429,66 +425,58 @@ def flow(spec: SystemSpec, m: PhasePoint, t: float, rtol=None, atol=None) -> Pha
 
 def _lockstep(spec: SystemSpec, ys, ts, rtol, atol):
     """Integrate column j of ``ys`` (nstate, n) forward to ``ts[j] >= 0``
-    in one lockstep batch.  Returns the (nstate, n) end states and the
-    set of failed columns, which keep their start state."""
+    in one lockstep batch, one marcher per column.  Returns the (nstate,
+    n) end states, where a failed column keeps its start, and each failed
+    column's IntegrationError by column index.
+
+    Per attempt, the stage rows, the error scale and the E5/E3 sums run
+    on one block of the live columns; each column's field is its
+    marcher's, and its marcher sizes, judges and takes its own attempt.
+    A column whose field raises gets zero fields for the rest of the
+    attempt."""
     out = np.array(ys, dtype=float)
-    failed, starts = set(), {}
+    errors, live, zero = {}, [], [0.0] * spec.nstate
     for j in np.flatnonzero(ts > 0.0).tolist():
         try:
-            starts[j] = _Marcher(spec, out[:, j], ts[j], rtol, atol)
-        except IntegrationError:
-            failed.add(j)
-    idx = np.array(list(starts), dtype=int)
-    y = out[:, idx]
-    t = np.zeros(idx.size)
-    t_bound = ts[idx]
-    f = np.array([m.f for m in starts.values()]).reshape(idx.size, spec.nstate).T
-    h_abs = np.array([m.h_abs for m in starts.values()])
-    retried = np.zeros(idx.size, dtype=bool)
-
-    def keep(mask):
-        nonlocal idx, y, f, t, t_bound, h_abs, retried
-        idx, y, f, t, t_bound = idx[mask], y[:, mask], f[:, mask], t[mask], t_bound[mask]
-        h_abs, retried = h_abs[mask], retried[mask]
-
-    while idx.size:
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
-        h_abs = np.where(~retried & (h_abs < min_step), min_step, h_abs)
-        tiny = h_abs < min_step
-        if tiny.any():
-            failed.update(idx[tiny].tolist())
-            keep(~tiny)
-            continue
-        t_new = np.minimum(t + h_abs, t_bound)
-        h = t_new - t
-        K = [[f]]
-        outside = np.zeros(idx.size, dtype=bool)
+            live.append((j, _Marcher(spec, out[:, j], ts[j], rtol, atol)))
+        except IntegrationError as e:
+            errors[j] = e
+    while live:
+        tries = []
+        for j, m in live:
+            try:
+                tries.append((j, m, *m._attempt()))
+            except IntegrationError as e:
+                errors[j] = e
+        if not tries:
+            break
+        js, ms, t_new, h = zip(*tries)
+        t, hs = np.array([m.t for m in ms]), np.array(h)
+        y = np.array([m.y for m in ms]).T
+        K = [[np.array([m.f for m in ms]).T]]
         for c, row in _STAGES[:_dop.N_STAGES]:
-            y_new, = row([y], K, h)
-            k, out_k = _fields(spec, t + c * h, y_new)
-            outside |= out_k
-            K.append([k])
+            y_new, = row([y], K, hs)
+            cols, k = y_new.T.tolist(), []
+            for j, m, tc, yc in zip(js, ms, (t + c * hs).tolist(), cols):
+                try:
+                    k.append(zero if j in errors else m._eval(tc, yc))
+                except DomainError as e:
+                    errors[j] = m._left_domain(e)
+                    k.append(zero)
+            K.append([np.array(k).T])
         scale = [atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol]
-        e5 = _sumsq(_E5_ROW(scale, K, None)[0])
-        e3 = _sumsq(_E3_ROW(scale, K, None)[0])
-        norm = _per_column(lambda *a: _error_norm(*a, spec.nstate), e5, e3, h)
-        h_abs = h * _per_column(_step_factor, norm, retried)
-        retried = ~(norm < 1.0)
-        accepted = ~retried & ~outside
-        failed.update(idx[outside].tolist())
-        if accepted.any():
-            # the marcher's quaternion renormalization and f recompute
-            y_acc = y_new[:, accepted]
-            q = y_acc[spec.quat_slice]
-            y_acc[spec.quat_slice] = q / np.sqrt(_sumsq(q))
-            y[:, accepted] = y_acc
-            f[:, accepted] = _fields(spec, t_new[accepted], y_acc)[0]
-            t[accepted] = t_new[accepted]
-        done = accepted & (t >= t_bound)
-        out[:, idx[done]] = y[:, done]
-        if (done | outside).any():
-            keep(~(done | outside))
-    return out, failed
+        e5 = _sumsq(_E5_ROW(scale, K, None)[0]).tolist()
+        e3 = _sumsq(_E3_ROW(scale, K, None)[0]).tolist()
+        for i, (j, m, yc) in enumerate(zip(js, ms, cols)):
+            if j not in errors and m._verdict(e5[i], e3[i], h[i]):
+                try:
+                    m._accept(t_new[i], yc, None)
+                except DomainError as e:
+                    errors[j] = m._left_domain(e)
+                if m.finished:
+                    out[:, j] = m.y
+        live = [(j, m) for j, m in zip(js, ms) if not (m.finished or j in errors)]
+    return out, errors
 
 
 def flow_many(spec: SystemSpec, ys, ts, rtol=None, atol=None) -> np.ndarray:
@@ -496,12 +484,12 @@ def flow_many(spec: SystemSpec, ys, ts, rtol=None, atol=None) -> np.ndarray:
     columns of ``ys`` (nstate, n), column j to its own time ``ts[j] >= 0``,
     as an (nstate, n) array.
 
-    Each column is its own integration with ``flow()``'s rule and
-    settings, stepped in lockstep with the others (see the module
-    docstring): it ends on the bits of ``flow()`` from its start, whatever
-    else shares its batch.  A zero horizon returns the start state.  If
-    columns fail, the lowest-index one is re-run alone and raises
-    ``flow()``'s IntegrationError.
+    Each column is its own integration by its own marcher, with
+    ``flow()``'s rule and settings, stepped in lockstep with the others
+    (see the module docstring): it ends on the bits of ``flow()`` from its
+    start, whatever else shares its batch.  A zero horizon returns the
+    start state.  If columns fail, the lowest-index one's IntegrationError
+    is raised: the error ``flow()`` raises from that start.
     """
     ys = np.asarray(ys, dtype=float)
     ts = np.asarray(ts, dtype=float)
@@ -514,11 +502,12 @@ def flow_many(spec: SystemSpec, ys, ts, rtol=None, atol=None) -> np.ndarray:
     if not np.all(np.isfinite(ys)):
         raise ValueError("flow_many needs finite states")
     s = spec.defaults.override(rtol=rtol, atol=atol)
-    out, failed = _lockstep(spec, ys, ts, s.rtol, s.atol)
-    if failed:
-        j = min(failed)
-        _Marcher(spec, ys[:, j], ts[j], s.rtol, s.atol).run()
-        raise AssertionError(f"batch column {j} failed but not when run alone")
+    # a field that turns non-finite gives the block sums inf and nan, as
+    # it gives the marcher's floats, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        out, errors = _lockstep(spec, ys, ts, s.rtol, s.atol)
+    if errors:
+        raise errors[min(errors)]
     return out
 
 

@@ -1,6 +1,7 @@
 """Config-loading and command-line behavior: schema rejection, exit
 codes, output formats, determinism, env/flag overrides."""
 
+import argparse
 import csv
 import json
 import math
@@ -600,3 +601,18 @@ def test_values_parser():
     assert cli._parse_values("0.5,2.5") == [0.5, 2.5]
     with pytest.raises(Exception):
         cli._parse_values("0:1")
+    # given or generated: -1e308:1e308:3 overflows its span to [nan, inf, inf]
+    for text in ("nan", "inf", "0.5,-inf", "0:inf:3", "-1e308:1e308:3"):
+        with pytest.raises(argparse.ArgumentTypeError, match="not finite"):
+            cli._parse_values(text)
+
+
+@pytest.mark.parametrize("values", ["nan", "-1e308:1e308:3"])
+def test_sweep_non_finite_values_exit_2(tmp_path, capsys, values):
+    config = write_config(tmp_path, BALL_CONFIG)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--config", config, "--param", "w", f"--values={values}",
+                  "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "is not finite" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["config.json"]

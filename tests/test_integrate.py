@@ -34,7 +34,6 @@ from reconphase.errors import (
     PeriodNotFoundError,
 )
 from reconphase.integrate import (
-    _fields,
     _lockstep,
     _Marcher,
     _period_search,
@@ -154,6 +153,26 @@ def test_a_field_beyond_its_error_scale_leaves_no_first_step(kind, run, ball, ri
                 phase(spec, m)
         assert exc.value.t == 0.0
         assert np.array_equal(exc.value.last_state.y, m.y)
+
+
+def test_a_field_that_turns_infinite_mid_march_underflows_the_step(rigid, monkeypatch):
+    # the field reads inf after t = 0.5: every attempt that reaches past
+    # it has a NaN error norm and is cut by the minimum factor until the
+    # step underflows just short of 0.5.  A batch column fails with the
+    # same error, on numpy block sums that see the same inf and NaN
+    m = rigid_point(rigid, Rotation.identity(), (1.0, 0.2, 0.3))
+    rhs = SystemSpec.rhs
+    monkeypatch.setattr(SystemSpec, "rhs", lambda self, t, y: (
+        [math.inf] * len(y) if t > 0.5 else rhs(self, t, y)))
+    errors = []
+    for run in (lambda: flow(rigid, m, 1.0),
+                lambda: flow_many(rigid, _packed(rigid, [m, m]), np.array([0.4, 1.0]))):
+        with pytest.raises(IntegrationError, match="^step-size underflow") as exc:
+            run()
+        errors.append(exc.value)
+    assert errors[0].t == errors[1].t == 0.4999999999999979
+    assert str(errors[0]) == str(errors[1])
+    assert np.array_equal(errors[0].last_state.y, errors[1].last_state.y)
 
 
 def test_phase_from_an_overflowing_reduced_speed_fails_as_flow_does(ball):
@@ -318,46 +337,31 @@ def test_flow_many_equals_flow_on_sampler_points(kind, n, data, sampled):
 
 @pytest.mark.parametrize("kind", ["ball", "rigid"])
 def test_flow_many_step_counts_equal_the_marchers(kind, batch_inputs, monkeypatch):
-    # A one-column batch takes its f and first step from a marcher (2 RHS
-    # calls), then makes 12 column field calls per attempt and, after each
-    # accepted step, one recompute at the renormalized state, whose input
-    # repeats the previous call's outside the quaternion slot.  Every
-    # column field is one SystemSpec.rhs call, with the marcher's time and
-    # state: the batch's RHS calls are the marcher's, in its order.
+    # every field call pins an attempt: a one-column batch makes the
+    # SystemSpec.rhs calls of a marcher alone, with its times and states,
+    # in its order
     spec, ys, ts = batch_inputs[kind, "probe"]
-    calls, rhs_calls = [], []
+    rhs_calls = []
     rhs = SystemSpec.rhs
-
-    def counting_fields(spec, times, states):
-        calls.append(np.array(states))
-        return _fields(spec, times, states)
 
     def recording_rhs(self, t, y):
         rhs_calls.append((t, list(y)))
         return rhs(self, t, y)
 
-    monkeypatch.setattr("reconphase.integrate._fields", counting_fields)
     monkeypatch.setattr(SystemSpec, "rhs", recording_rhs)
-    rest = np.ones(spec.nstate, dtype=bool)
-    rest[spec.quat_slice] = False
     for j in range(ys.shape[1]):
-        calls.clear()
         rhs_calls.clear()
         flow_many(spec, ys[:, [j]], ts[[j]])
         batch_rhs_calls = list(rhs_calls)
-        assert len(batch_rhs_calls) == 2 + len(calls)
-        accepted = sum(np.array_equal(a[rest], b[rest]) for a, b in zip(calls, calls[1:]))
-        rejected, rem = divmod(len(calls) - 13 * accepted, 12)
         rhs_calls.clear()
-        traj = _Marcher(spec, ys[:, j], ts[j], 1e-10, 1e-12).run()
-        assert rem == 0
-        assert (accepted, rejected) == (traj.n_accepted, traj.n_rejected)
+        _Marcher(spec, ys[:, j], ts[j], 1e-10, 1e-12).run()
         assert batch_rhs_calls == rhs_calls
 
 
 def test_flow_many_domain_exit_fails_its_column_only(ball, mball):
-    # columns 1 and 3 leave the annulus, column 3 earlier in time; the
-    # batch raises column 1's error and the others finish untouched
+    # columns 1 and 3 leave the annulus, column 3 earlier in time; each
+    # fails with flow()'s error, the batch raises column 1's and the
+    # others finish untouched
     escape = [ball_point(ball, (1.4, 0.0), (2.5, 0.0)),
               ball_point(ball, (2.3, 0.0), (2.5, 0.0))]
     start = [mball, escape[0], flow(ball, mball, 1.0), escape[1]]
@@ -370,17 +374,18 @@ def test_flow_many_domain_exit_fails_its_column_only(ball, mball):
     assert scalar[1].t < scalar[0].t
     with pytest.raises(IntegrationError) as exc:
         flow_many(ball, ys, ts)
-    err = exc.value
-    assert str(err).startswith("trajectory left the domain: center radius")
-    assert str(err) == str(scalar[0])
-    assert err.t == scalar[0].t > 0.4
-    assert np.array_equal(err.last_state.y, scalar[0].last_state.y)
-    assert np.linalg.norm(err.last_state.a) <= 2.5
-    assert isinstance(err.__cause__, DomainError)
-    assert str(err.__cause__) == str(scalar[0].__cause__)
+    assert exc.value.t > 0.4
+    assert str(exc.value).startswith("trajectory left the domain: center radius")
 
-    out, failed = _lockstep(ball, ys, ts, 1e-10, 1e-12)
-    assert failed == {1, 3}
+    out, errors = _lockstep(ball, ys, ts, 1e-10, 1e-12)
+    assert sorted(errors) == [1, 3]
+    for err, want in zip((exc.value, errors[1], errors[3]), (scalar[0], *scalar)):
+        assert str(err) == str(want)
+        assert err.t == want.t
+        assert np.array_equal(err.last_state.y, want.last_state.y)
+        assert np.linalg.norm(err.last_state.a) <= 2.5
+        assert isinstance(err.__cause__, DomainError)
+        assert str(err.__cause__) == str(want.__cause__)
     for j in (0, 2):
         assert np.array_equal(out[:, j], flow_many(ball, ys[:, [j]], ts[[j]])[:, 0])
     assert np.array_equal(out[:, [1, 3]], ys[:, [1, 3]])
