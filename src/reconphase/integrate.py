@@ -334,10 +334,9 @@ class _Marcher:
         when the attempt is accepted; a rejection is counted."""
         norm = 0.0 if e5 == 0.0 and e3 == 0.0 else (
             h * e5 / math.sqrt((e5 + 0.01 * e3) * self.spec.nstate))
-        if norm == 0.0:
-            factor = MAX_FACTOR
-        elif norm < 1.0:
-            factor = min(MAX_FACTOR, SAFETY * norm ** _ERROR_EXPONENT)
+        if norm < 1.0:
+            factor = MAX_FACTOR if norm == 0.0 else min(
+                MAX_FACTOR, SAFETY * norm ** _ERROR_EXPONENT)
             factor = min(1.0, factor) if self.retried else factor
         else:
             factor = max(MIN_FACTOR, SAFETY * norm ** _ERROR_EXPONENT)

@@ -105,9 +105,10 @@ class Rotation:
 
     # -- algebra -------------------------------------------------------
     def compose(self, other: "Rotation") -> "Rotation":
-        """Return self o other (apply ``other`` first)."""
-        w1, x1, y1, z1 = self.q
-        w2, x2, y2, z2 = other.q
+        """Return self o other (apply ``other`` first), multiplied out on
+        Python floats."""
+        w1, x1, y1, z1 = self.q.tolist()
+        w2, x2, y2, z2 = other.q.tolist()
         return Rotation(
             np.array(
                 [

@@ -26,6 +26,11 @@ Conventions
   orthogonal to the phase axis).
 * ``conjugacy_residuals`` measures the chart's commuting square (flow
   vs linear shift of the coordinates) for the CLI and the checks alike.
+* The chart's pieces depend on the phase alone, so a ``PhaseResult``
+  builds each once: ``_centralizer_element`` keeps ``g_m^-1 Xi(beta)
+  g_m`` by the exact bits of ``beta``, and ``flower_frame`` keeps
+  ``(h_f^-1, flow(m, f tau))`` by ``f = alpha % 1``.  A point read from
+  the memo has the bits of one built afresh.
 """
 
 from __future__ import annotations
@@ -69,7 +74,14 @@ class PhaseResult:
     ``act(gamma, m)`` to that state.  Both test the result against its
     own integration, so neither bounds the error in ``tau`` or ``gamma``
     (rigid ``[1,2,3]``, omega ``[1,0.2,0.3]``: ``defining`` 7.5e-13, gamma
-    off by 6.7e-11); a rerun at a tighter ``rtol`` estimates it."""
+    off by 6.7e-11); a rerun at a tighter ``rtol`` estimates it.
+
+    ``_memo`` holds the chart's pieces that depend on the phase alone:
+    centralizer elements by the exact bits of their coordinates and
+    flower-frame basepoints by their period fraction, one entry per
+    distinct query.  It is filled on first use, takes no part in ``==``,
+    ``repr`` or ``to_dict``, and ``dataclasses.replace`` gives the new
+    result an empty one."""
 
     tau: float
     gamma: GroupElement
@@ -80,6 +92,8 @@ class PhaseResult:
     delta_rep: Optional[np.ndarray]
     residuals: Mapping
     _trajectory: Trajectory = field(repr=False, compare=False, default=None)
+    _memo: dict = field(init=False, repr=False, compare=False,
+                        default_factory=dict)
 
     def to_dict(self) -> dict:
         def group_el(g):
@@ -192,9 +206,15 @@ def frequency_mismatch(f1, f2, tau: float) -> float:
 
 
 def _centralizer_element(p: PhaseResult, beta, group: str) -> GroupElement:
-    """Element of T_m = g_m^-1 T g_m with reference coordinates beta."""
-    g_m = p.conjugator
-    return (g_m.inverse() @ Xi(beta, group)) @ g_m
+    """Element of T_m = g_m^-1 T g_m with reference coordinates beta,
+    built once per phase for each exact beta."""
+    b = np.asarray(beta, dtype=float)
+    key = (group, b.shape, b.tobytes())
+    h = p._memo.get(key)
+    if h is None:
+        g_m = p.conjugator
+        h = p._memo[key] = (g_m.inverse() @ Xi(b, group)) @ g_m
+    return h
 
 
 def torus_embed(
@@ -244,13 +264,19 @@ def flower_frame(
     alpha = k + f (k integer, f in [0, 1)), flow(m, alpha tau) =
     act(gamma^k, flow(m, f tau)), and gamma = g_m^-1 Xi(eta) g_m = h_1, so
     h_alpha^-1 gamma^k = h_f^-1: no integration, the tolerance is the one
-    p was computed with, and the chart is one-periodic in alpha.
+    p was computed with, and the chart is one-periodic in alpha.  The
+    pair (h_f^-1, flow(m, f tau)) is built once per phase for each f.
     """
     if not p.regular:
         raise DomainError("the flower frame requires a regular phase")
     f = alpha % 1.0
-    h_f = _centralizer_element(p, f * p.eta, spec.group)
-    return act(g @ h_f.inverse(), p._trajectory.eval(f * p.tau))
+    key = float(f).hex()
+    frame = p._memo.get(key)
+    if frame is None:
+        h_f = _centralizer_element(p, f * p.eta, spec.group)
+        frame = p._memo[key] = (h_f.inverse(), p._trajectory.eval(f * p.tau))
+    h_f_inv, m_f = frame
+    return act(g @ h_f_inv, m_f)
 
 
 def delta(spec: SystemSpec, m: PhasePoint, p: PhaseResult = None) -> np.ndarray:

@@ -236,6 +236,18 @@ def test_an_overflowing_velocity_square_is_a_typed_domain_exit(ball, run, a_dot)
         "|(a, a_dot)|^2 overflows")
 
 
+def test_a_retry_with_zero_error_keeps_its_step(ball, mball):
+    # scipy's rule caps the factor at 1 after any rejection, a zero error
+    # norm included (test_scipy_pins pins scipy to it); a first attempt
+    # with zero error still grows the step tenfold
+    marcher = _Marcher(ball, ball.pack(mball), 5.0, 1e-10, 1e-12)
+    marcher.retried = True
+    assert marcher._verdict(0.0, 0.0, 0.01)
+    assert marcher.h_abs == 0.01 and not marcher.retried
+    assert marcher._verdict(0.0, 0.0, 0.01)
+    assert marcher.h_abs == 0.1
+
+
 @pytest.mark.parametrize("kind", ["ball", "rigid"])
 def test_flow_builds_no_dense_output_and_keeps_its_steps(kind, ball, rigid, mball, mrigid):
     # flow() skips the interpolant (3 RHS evaluations per step) and so

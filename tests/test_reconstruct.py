@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -27,7 +28,7 @@ from reconphase.liegroup import (
     torus_coords,
 )
 from reconphase.cli import TORUS_PROBE
-from reconphase.verify import sample_rigid
+from reconphase.verify import sample_ball, sample_rigid
 from reconphase.reconstruct import (
     PhaseResult,
     conjugacy_residuals,
@@ -255,6 +256,26 @@ def test_ball_time_rescaling(ball, s):
     assert group_distance(ps.gamma, p.gamma) < 5e-7
 
 
+def test_ball_mirror_reverses_the_circle_angle():
+    # negating (a2, a2_dot, qx, qz, w) reflects the state in the x-z plane
+    # and conjugates Q by diag(1, -1, 1): the mirrored orbit has the same
+    # period, the circle slot of eta runs backwards and the rotation slot
+    # is unchanged.  A sign error in the circle action or the Procrustes
+    # angle breaks it.  Measured on seeds 0-3 (16 orbits): tau within
+    # 2.7e-15, eta within 1.5e-15
+    spec = make_ball_system(SurfaceProfile((0.0, 0.3, 0.05)))
+    samples = sample_ball(spec, np.random.default_rng(0), 4)
+    assert {math.copysign(1.0, m.w) for m in samples} == {1.0, -1.0}
+    for m in samples:
+        y = m.y.copy()
+        y[[1, 3, 5, 7, 8]] *= -1.0
+        p, q = phase(spec, m), phase(spec, spec.unpack(y))
+        assert abs(q.tau - p.tau) < 3e-14
+        circle = (q.eta[0] + p.eta[0]) % 1.0
+        assert min(circle, 1.0 - circle) < 1.5e-14
+        assert abs(q.eta[1] - p.eta[1]) < 1.5e-14
+
+
 # ---------------------------------------------------------------------------
 # the torus chart
 # ---------------------------------------------------------------------------
@@ -365,6 +386,52 @@ def test_flower_frame_matches_its_definition(request, system):
             flow(spec, m, alpha * p.tau, rtol=1e-12, atol=1e-14),
         )
         assert state_distance(flower_frame(spec, p, alpha, g), want) < 1e-9
+
+
+def _chart_queries(spec, p):
+    """Chart points and flower frames at alpha 0 and 1 (one frame
+    fraction) and beta 0.0 and -0.0 (two sets of bits), plus an interior
+    point; each query is a function of a phase result."""
+    rank = p.eta.size
+    theta = 0.7 if spec.group == "s1xso3" else 0.0
+    g = GroupElement(theta, Rotation.from_axis_angle([0.4, -0.7, 0.59], 2.1), spec.group)
+    queries = [
+        lambda q, al=al, b=b: torus_embed(spec, q, al, np.full(rank, b))
+        for al in (0.0, 1.0, 0.37) for b in (0.0, -0.0, 0.3)
+    ]
+    queries += [lambda q, al=al: flower_frame(spec, q, al, g) for al in (0.0, 1.0, 0.37)]
+    return queries
+
+
+def _bits(x):
+    return x.y.tobytes(), x.Q.q.tobytes()
+
+
+@pytest.mark.parametrize("system", ["ball", "rigid"])
+def test_chart_points_from_a_warm_phase_keep_their_bits(request, system):
+    # every query twice on one result (the second from its memo), each
+    # against the same query on a result no other query has touched
+    spec, m, _ = request.getfixturevalue(system)
+    warm = phase(spec, m)
+    queries = _chart_queries(spec, warm)
+    first = [_bits(query(warm)) for query in queries]
+    again = [_bits(query(warm)) for query in queries]
+    fresh = [_bits(query(phase(spec, m))) for query in queries]
+    assert first == again == fresh
+
+
+def test_the_memo_is_not_shared_compared_or_shown(ball):
+    spec, m, _ = ball
+    p = phase(spec, m)
+    shown, doc = repr(p), json.dumps(p.to_dict(), sort_keys=True)
+    for query in _chart_queries(spec, p):
+        query(p)
+    assert p._memo
+    q = dataclasses.replace(p)
+    assert q._memo == {} and q._memo is not p._memo
+    assert p == q and repr(p) == repr(q) == shown
+    assert json.dumps(p.to_dict(), sort_keys=True) == doc
+    assert "_memo" not in shown
 
 
 @pytest.mark.parametrize("system", ["ball", "rigid"])

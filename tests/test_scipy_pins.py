@@ -53,6 +53,17 @@ def test_the_step_factor_constants_are_scipys():
         assert getattr(integrate, name) == getattr(rk, name)
 
 
+def test_scipy_keeps_the_step_after_a_retry_with_zero_error(systems):
+    # one rejected attempt (error norm 2), then one whose error norm is
+    # exactly 0: the next step is the accepted one, not ten times it
+    spec, m = systems["rigid"]
+    solver = rk.DOP853(spec.rhs, 0.0, spec.pack(m), 5.0, rtol=1e-10, atol=1e-12)
+    norms = iter([2.0, 0.0])
+    solver._estimate_error_norm = lambda K, h, scale: next(norms)
+    solver.step()
+    assert solver.h_abs == solver.step_size
+
+
 @pytest.mark.parametrize("kind", ["ball", "rigid"])
 def test_the_dense_output_is_scipys(systems, kind):
     # every segment of one recorded period, at scalar times (the nodes,
