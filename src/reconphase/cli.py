@@ -279,6 +279,7 @@ def cmd_sweep(resolved: dict, param: str, values) -> int:
         )
     if "initial_state" not in resolved:
         raise ConfigError("sweep requires an initial_state block as the base point")
+    cfg.build_initial_state(resolved, spec)  # an invalid base point exits 2
     base = resolved["initial_state"]
 
     rank = torus_rank(spec.group)

@@ -38,8 +38,6 @@ import sys
 from dataclasses import asdict, fields
 from typing import Optional
 
-import numpy as np
-
 from .dynsys import (
     BALL,
     IntegrationDefaults,
@@ -241,13 +239,18 @@ def build_system(resolved: dict) -> SystemSpec:
 
 
 def build_initial_state(resolved: dict, spec: SystemSpec) -> PhasePoint:
+    """The phase point of ``initial_state``, or a ConfigError naming it."""
     if "initial_state" not in resolved:
         raise ConfigError("this command requires an initial_state block")
     state = resolved["initial_state"]
     quat = state.get("quat")
-    Q = Rotation(np.asarray(quat, dtype=float)) if quat is not None else Rotation.identity()
-    if spec.kind == BALL:
-        return ball_point(
-            spec, a=state["a"], a_dot=state["a_dot"], Q=Q, w=state.get("w", 0.0)
-        )
-    return rigid_point(spec, Q, state["omega"])
+    try:
+        Q = Rotation(quat) if quat is not None else Rotation.identity()
+    except ValueError as e:
+        raise ConfigError(f"$.initial_state.quat is not a rotation: {e}") from e
+    try:
+        if spec.kind == BALL:
+            return ball_point(spec, state["a"], state["a_dot"], Q, state.get("w", 0.0))
+        return rigid_point(spec, Q, state["omega"])
+    except ValueError as e:
+        raise ConfigError(f"$.initial_state is not a phase point: {e}") from e

@@ -14,8 +14,10 @@ quaternion is renormalized after every accepted step.  Callers that
 keep a trajectory also get each step's dense interpolant (scipy's, from
 three extra stages) with a linear ramp to the renormalized endpoint:
 the correction is O(norm drift), far below the interpolation error, and
-makes dense evaluation reproduce the nodes to rounding.  ``flow()``
-builds no interpolant; its steps are the same either way.
+makes dense evaluation reproduce the nodes to rounding.  A step's
+interpolant keeps the marcher's lists of floats, and ``_Segment.at``
+reads it at one time on those floats.  ``flow()`` builds no
+interpolant; its steps are the same either way.
 
 ``flow_many`` runs many fixed-horizon flows as one lockstep batch over
 packed columns (torchode, Lienen & Günnemann, arXiv:2210.12375), with
@@ -44,14 +46,11 @@ only excludes steps, by a bound rather than a heuristic (event location
 on a step's own data: Shampine & Thompson, Comput. Math. Appl. 39
 (2000) 43), so every crossing, bracket and output keeps its bits;
 ``Trajectory.n_scanned`` counts the scanned steps.  A scanned step
-samples sigma at 17 equally spaced times (16 sub-intervals) with
-one call to the step's interpolant on an array of times and one
-reduction of its columns.  At every sign change of sigma from negative
-to positive the crossing time is refined by brentq on Python floats:
-each value reads the interpolant at one time, only in the rows the
-reduction reads, then the reduction and the sum with v0_hat, each in
-the scan's order.  A time gets the same bits in the scan and in the
-refinement, so the two agree on every sign.  The first refined crossing
+samples sigma at 17 equally spaced times (16 sub-intervals), and at
+every sign change of sigma from negative to positive brentq refines the
+crossing time.  The scan, the refinement and the closure test read the
+step at one time by ``_Segment.at``, so a time gets the same bits in
+the scan and in the refinement by construction.  The first refined crossing
 beyond the minimal-period floor whose reduced state also returns to the
 start (closure) is the period.  Crossings that fail closure are other
 intersections of the reduced orbit with the section hyperplane and are
@@ -157,55 +156,54 @@ def _initial_step(d0, d1, d2, h0):
     return (0.01 / max(d1, d2)) ** -_ERROR_EXPONENT
 
 
+def _dense_sum(n):
+    """scipy's dense-output sum of n F rows on Python floats: a function
+    of (x, u, y, F), u = 1 - x, giving per row v of y the sum ``acc =
+    (acc + f) * m`` over that row of F from the last, m = x, u, x, ...,
+    plus v.  One comprehension generated here, as ``_rows`` generates
+    the tableau rows."""
+    acc = "0.0"
+    for k in reversed(range(n)):
+        acc = f"({acc} + f{k}) * {'u' if (n - 1 - k) % 2 else 'x'}"
+    fs = ", ".join(f"f{k}" for k in range(n))
+    return eval(f"lambda x, u, y, F: [{acc} + v for v, {fs} in zip(y, *F)]")
+
+
+_DENSE_SUM = _dense_sum(3 + len(_dop.D))  # three F rows from the ends, then D
+
+
 class _Segment:
-    """One step's interpolant on [t_old, t]: y_old plus the rows F of
-    ``_dense_output_impl``, evaluated by scipy's ``Dop853DenseOutput``
-    arithmetic in its order.  A scalar time gives the (nstate,) state, a
-    1-D array of times the (nstate, n) columns."""
+    """One step's interpolant on [t_old, t]: the marcher's start list
+    y_old plus the rows F of ``_dense_output_impl`` as lists of Python
+    floats, read by scipy's ``Dop853DenseOutput`` arithmetic in its order.
+    ``at`` reads one time; a 1-D array of times gives the (nstate, n)
+    columns, with the bits of ``at`` at each time."""
 
     def __init__(self, t_old, t, y_old, F):
         self.t_old, self.t, self.h = t_old, t, t - t_old
         self.y_old, self.F = y_old, F
 
-    def __call__(self, t):
-        t = np.asarray(t)
+    def at(self, t):
+        """The state at time t as a list of Python floats."""
         x = (t - self.t_old) / self.h
-        if t.ndim == 0:
-            y = np.zeros_like(self.y_old)
-        else:
-            x = x[:, None]
-            y = np.zeros((len(x), len(self.y_old)))
-        for i, f in enumerate(reversed(self.F)):
+        return _DENSE_SUM(x, 1 - x, self.y_old, self.F)
+
+    def __call__(self, ts):
+        x = ((np.asarray(ts) - self.t_old) / self.h)[:, None]
+        xs = (x, 1 - x)
+        y = np.zeros((len(x), len(self.y_old)))
+        for i, f in enumerate(np.array(self.F[::-1])):
             y += f
-            y *= x if i % 2 == 0 else 1 - x
+            y *= xs[i % 2]
         y += self.y_old
         return y.T
-
-    def rows_at(self, rows, nstate):
-        """The interpolant on Python floats: a function of one time giving
-        a list of ``nstate`` floats whose entries ``rows`` are __call__'s,
-        by its arithmetic in its order, and whose other entries are 0.0."""
-        F = self.F[::-1, rows].T.tolist()
-        y_old = self.y_old[list(rows)].tolist()
-        t_old, h, n = self.t_old, self.h, len(self.F)
-
-        def at(t):
-            x = (t - t_old) / h
-            xs = (x, 1 - x) * n
-            y = [0.0] * nstate
-            for j, fs, y0 in zip(rows, F, y_old):
-                acc = 0.0
-                for f, m in zip(fs, xs):
-                    acc = (acc + f) * m
-                y[j] = acc + y0
-            return y
-        return at
 
 
 @dataclass
 class Trajectory:
-    """Dense solution of one forward integration.  Node states carry the
-    renormalized quaternion; dense evaluation reproduces them to rounding."""
+    """Dense solution of one forward integration.  Node states are lists
+    of Python floats and carry the renormalized quaternion; dense
+    evaluation reproduces them to rounding."""
 
     spec: SystemSpec
     times: list
@@ -235,12 +233,12 @@ class Trajectory:
                 f"t = {bad!r} outside the trajectory span [{self.t0}, {self.t1}]"
             )
         if not self.segments:
-            y0 = self.states[0]
-            return np.array(y0) if ts.ndim == 0 else np.repeat(y0[:, None], ts.size, 1)
+            y0 = np.array(self.states[0])
+            return y0 if ts.ndim == 0 else np.repeat(y0[:, None], ts.size, 1)
         idx = np.searchsorted(self.times, ts, side="right") - 1
         idx = np.clip(idx, 0, len(self.segments) - 1)
         if ts.ndim == 0:
-            return self.segments[idx](t)
+            return np.array(self.segments[idx].at(float(ts)))
         out = np.empty((len(self.states[0]), ts.size))
         for i in np.unique(idx):
             sel = idx == i
@@ -256,8 +254,7 @@ class _Marcher:
     to ``t_bound``, fixing the quaternion after each step.  ``sign = -1``
     marches the negated field (the field and a failure see the time
     ``sign * t``); with ``dense`` (forward only) each step's interpolant is
-    kept, and ``floats`` holds the last one's start state and F rows as
-    Python floats.  A step is made of the pieces ``_attempt``,
+    kept.  A step is made of the pieces ``_attempt``,
     ``_verdict`` and ``_accept`` (and ``_left_domain`` when the field
     raises), which ``_lockstep`` drives for a batch column."""
 
@@ -266,8 +263,8 @@ class _Marcher:
         y0 = _start_state(spec, y0)
         self.spec, self.t_bound = spec, float(t_bound)
         self.rtol, self.atol, self.sign, self.dense = rtol, atol, sign, dense
-        self.traj = Trajectory(spec, [0.0], [y0], [])
         self.t, self.y = 0.0, y0.tolist()
+        self.traj = Trajectory(spec, [0.0], [self.y], [])
         self.finished, self.retried = self.t_bound == 0.0, False
         if not self.finished:
             try:
@@ -358,7 +355,7 @@ class _Marcher:
         self.f = self._eval(t_new, y_fix)
         self.t, self.y = t_new, y_fix
         self.traj.times.append(t_new)
-        self.traj.states.append(np.array(y_fix))
+        self.traj.states.append(y_fix)
         self.traj.n_accepted += 1
         self.finished = t_new >= self.t_bound
         return dense
@@ -383,8 +380,7 @@ class _Marcher:
              [h * f - d for f, d in zip(K[0], dy)],
              [2 * d - h * (g + f) for d, g, f in zip(dy, K[_dop.N_STAGES], K[0])],
              *(row(y, K, h) for row in _D_ROWS)]
-        self.floats = y, F
-        dense = _Segment(t, t_new, np.array(y), np.array(F))
+        dense = _Segment(t, t_new, y, F)
         self.traj.segments.append(dense)
         return dense
 
@@ -634,10 +630,10 @@ class _Section:
         return not (lo > margin or hi < -margin)
 
     def on_floats(self, seg):
-        """sigma at one time of the step's interpolant ``seg``, on Python
-        floats from the rows that reduce_y reads."""
-        at = seg.rows_at(self.spec.reduced_rows, self.spec.nstate)
-        return lambda t: self(at(t))
+        """sigma at one time of the step's interpolant ``seg``, read on
+        Python floats by ``seg.at``; the scan and the refinement both read
+        it."""
+        return lambda t: self(seg.at(t))
 
 
 def _period_search(spec: SystemSpec, m: PhasePoint, s: IntegrationDefaults):
@@ -666,15 +662,14 @@ def _period_search(spec: SystemSpec, m: PhasePoint, s: IntegrationDefaults):
 
     best_residual = math.inf
     found_crossing = False
-    n_sub = 16
     while not marcher.finished:
         seg = marcher.step()
-        if not section.may_cross(*marcher.floats):
+        if not section.may_cross(seg.y_old, seg.F):
             continue
         traj.n_scanned += 1
-        ts = np.linspace(seg.t_old, seg.t, n_sub + 1)
-        vals = section(seg(ts)).tolist()
-        ts = ts.tolist()
+        sigma = section.on_floats(seg)
+        ts = np.linspace(seg.t_old, seg.t, 17).tolist()
+        vals = list(map(sigma, ts))
         for i in range(1, len(ts)):
             if not (vals[i - 1] < 0.0 <= vals[i]):
                 continue
@@ -682,7 +677,7 @@ def _period_search(spec: SystemSpec, m: PhasePoint, s: IntegrationDefaults):
                 continue
             try:
                 t_star, iterations = brentq(
-                    section.on_floats(seg), ts[i - 1], ts[i], xtol=1e-13, rtol=1e-15,
+                    sigma, ts[i - 1], ts[i], xtol=1e-13, rtol=1e-15,
                 )
             except RuntimeError as e:
                 raise SectionRefinementError(
@@ -692,7 +687,7 @@ def _period_search(spec: SystemSpec, m: PhasePoint, s: IntegrationDefaults):
             if t_star <= s.min_period:
                 continue
             found_crossing = True
-            residual = float(np.linalg.norm(spec.reduce_y(seg(t_star)) - rp0))
+            residual = float(np.linalg.norm(spec.reduce_y(seg.at(t_star)) - rp0))
             if residual < s.tol_closure * scale:
                 return (
                     PeriodResult(t_star, residual, iterations),

@@ -17,7 +17,7 @@ import pytest
 import reconphase.cli as cli
 import reconphase.config as cfg
 import reconphase.integrate as integrate
-from reconphase import BALL, ConfigError, IntegrationDefaults, SystemSpec
+from reconphase import BALL, ConfigError, IntegrationDefaults
 from reconphase.reconstruct import conjugacy_residuals, phase, torus_embed
 from reconphase.verify import CheckReport
 
@@ -460,6 +460,51 @@ def test_sweep_error_rows_are_marked(tmp_path):
     assert rows[1][2] == "nan"
 
 
+_ZERO_BALL = dict(BALL_CONFIG["initial_state"], a=[0, 0], a_dot=[0, 0])
+_NO_ROTATION = r"\.quat is not a rotation: quaternion norm too small"
+
+
+def _with_quat(doc, quat):
+    return dict(doc, initial_state=dict(doc["initial_state"], quat=quat))
+
+
+@pytest.mark.parametrize("command", [["phase"], ["simulate", "--t-end", "1"],
+                                     ["torus", "--grid", "2"]],
+                         ids=["phase", "simulate", "torus"])
+@pytest.mark.parametrize("doc, where", [
+    (_with_quat(RIGID_CONFIG, [0, 0, 0, 0]), _NO_ROTATION),
+    (_with_quat(BALL_CONFIG, [1e-300, 0, 0, 0]), _NO_ROTATION),
+    (dict(BALL_CONFIG, initial_state=_ZERO_BALL),
+     r" is not a phase point: \(a, a_dot\) = 0 is outside"),
+], ids=["zero-quat", "tiny-quat", "zero-ball"])
+def test_an_invalid_initial_state_exits_2_and_writes_nothing(tmp_path, capsys,
+                                                             command, doc, where):
+    config = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert run_cli(*command, "--config", config, "--out", str(out)) == 2
+    assert re.match(r"config error: \$\.initial_state" + where, capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_sweep_an_invalid_row_is_marked_and_an_invalid_base_exits_2(tmp_path, capsys):
+    # radius_scale 0 zeroes a, which with a_dot = 0 leaves the phase
+    # space: that row reads ConfigError and the sweep goes on
+    base = dict(BALL_CONFIG["initial_state"], a_dot=[0, 0])
+    config = write_config(tmp_path, dict(BALL_CONFIG, initial_state=base))
+    assert run_cli("sweep", "--config", config, "--param", "radius_scale",
+                   "--values", "1,0,0.5", "--out", str(tmp_path)) == 0
+    rows = _csv_rows(tmp_path / "sweep.csv")
+    assert [row["status"] == "ConfigError" for row in rows] == [False, True, False]
+    assert all(v == "nan" for k, v in rows[1].items() if k not in ("value", "status"))
+    # an invalid base point is a config error, whatever the values
+    config = write_config(tmp_path, dict(BALL_CONFIG, initial_state=_ZERO_BALL))
+    out = tmp_path / "base"
+    assert run_cli("sweep", "--config", config, "--param", "w",
+                   "--values", "0.2,0.4", "--out", str(out)) == 2
+    assert "$.initial_state is not a phase point" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exit_codes_for_bad_configs(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert run_cli("phase", "--config", missing) == 2
@@ -504,17 +549,16 @@ def test_failed_crossing_refinement_is_typed(tmp_path, capsys, monkeypatch):
 
 
 def test_nan_section_value_in_the_refinement_is_typed(tmp_path, capsys, monkeypatch):
-    # the section function reads NaN in the refinement only, whose reduced
-    # map runs on a list of floats (the scan's runs on array columns):
+    # the section function reads NaN strictly inside the refinement's
+    # bracket only (the scan and the bracket's ends read it as they are):
     # brentq raises RuntimeError, which the period search types as
     # SectionRefinementError (exit 3)
-    reduce_y = SystemSpec.reduce_y
+    brentq = integrate.brentq
 
-    def nan_on_floats(self, y):
-        r = reduce_y(self, y)
-        return [math.nan] * len(r) if isinstance(y, list) else r
+    def nan_inside(f, xa, xb, **kwargs):
+        return brentq(lambda x: math.nan if xa < x < xb else f(x), xa, xb, **kwargs)
 
-    monkeypatch.setattr(SystemSpec, "reduce_y", nan_on_floats)
+    monkeypatch.setattr(integrate, "brentq", nan_inside)
     config = write_config(tmp_path, BALL_CONFIG)
     assert run_cli("phase", "--config", config, "--out", str(tmp_path)) == 3
     err = capsys.readouterr().err

@@ -533,10 +533,11 @@ def test_phase_bits_and_work_are_pinned(ball, rigid, system, tau, theta, quat, c
 
 
 @pytest.mark.parametrize("system", ["ball", "ball_cubic", "rigid"])
-def test_scan_and_refinement_agree_on_every_bit(ball, rigid, system):
-    # the period search scans sigma on array columns and refines it on
-    # floats: at every scan time of every step of one period, the two
-    # forms read the same bits, so they agree on every sign
+def test_the_one_time_reader_has_the_array_forms_bits(ball, rigid, system):
+    # the period search reads sigma at one time on floats (scan,
+    # refinement, closure); the closest approach reads array columns: at
+    # the nodes, mid-step and the 17 scan times of every step of one
+    # period, the two forms read the same bits
     if system == "rigid":
         spec, m = rigid, rigid_point(rigid, Rotation.identity(), (1.0, 0.2, 0.3))
     else:
@@ -544,24 +545,23 @@ def test_scan_and_refinement_agree_on_every_bit(ball, rigid, system):
             SurfaceProfile((0.1, 0.3, 0.05), gravity=2.0, inertia_ratio=0.5),
             annulus=(0.1, 3.0))
         m = ball_point(spec, (0.9, -0.2), (0.1, 0.35), w=0.4)
-    y0 = spec.pack(m)
-    v0 = spec.reduced_velocity(y0)
-    section = _Section(spec, spec.reduce_y(y0), v0 / np.linalg.norm(v0))
     _, traj = _period_search(spec, m, spec.defaults)
     assert len(traj.segments) == traj.n_accepted > 20
     for seg in traj.segments:
-        ts = np.linspace(seg.t_old, seg.t, 17)
-        scan = section(seg(ts)).tolist()
-        refine = section.on_floats(seg)
-        values = [refine(t) for t in ts.tolist()]
-        assert all(type(v) is float for v in values)
-        assert [v.hex() for v in values] == [v.hex() for v in scan]
+        ts = np.linspace(seg.t_old, seg.t, 17).tolist()
+        ts += [seg.t_old, 0.5 * (seg.t_old + seg.t), seg.t]
+        columns = seg(np.array(ts)).T.tolist()
+        for t, column in zip(ts, columns):
+            y = seg.at(t)
+            assert all(type(v) is float for v in y)
+            assert [v.hex() for v in y] == [v.hex() for v in column]
 
 
 def _scan_marks(section, seg):
     """Whether the period search's 17-point scan of the step reads sigma
     rising from below zero to zero or above."""
-    vals = section(seg(np.linspace(seg.t_old, seg.t, 17))).tolist()
+    ts = np.linspace(seg.t_old, seg.t, 17).tolist()
+    vals = list(map(section.on_floats(seg), ts))
     return any(a < 0.0 <= b for a, b in zip(vals, vals[1:]))
 
 
@@ -585,7 +585,7 @@ def test_may_cross_passes_every_step_the_full_scan_marks(kind, sampled):
                     seg = marcher.step()
                 except IntegrationError:
                     break
-                flagged = section.may_cross(*marcher.floats)
+                flagged = section.may_cross(seg.y_old, seg.F)
                 assert flagged or not _scan_marks(section, seg), (rtol, seg.t_old)
                 steps += 1
                 scanned += flagged
@@ -623,7 +623,7 @@ def _hand_built(spec, rp0, y, F0, F1):
     y, F0, F1 = ([float(v) for v in row] for row in (y, F0, F1))
     F = [F0, F1] + [[0.0] * spec.nstate for _ in range(5)]
     section = _Section(spec, np.array(rp0, dtype=float), np.array([1.0, 0.0, 0.0, 0.0]))
-    return section, y, F, _Segment(0.0, 1.0, np.array(y), np.array(F))
+    return section, y, F, _Segment(0.0, 1.0, y, F)
 
 
 @pytest.mark.parametrize("kind, F0, F1, crossed", [
