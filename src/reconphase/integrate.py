@@ -15,9 +15,11 @@ keep a trajectory also get each step's dense interpolant (scipy's, from
 three extra stages) with a linear ramp to the renormalized endpoint:
 the correction is O(norm drift), far below the interpolation error, and
 makes dense evaluation reproduce the nodes to rounding.  A step's
-interpolant keeps the marcher's lists of floats, and ``_Segment.at``
-reads it at one time on those floats.  ``flow()`` builds no
-interpolant; its steps are the same either way.
+interpolant keeps the marcher's lists of floats, and one generated sum,
+``_DENSE_SUM``, reads it: on those floats at one time (``_Segment.at``),
+and on rows gathered from the steps hit at an array of times
+(``Trajectory.eval_y``), with the same bits by construction.  ``flow()``
+builds no interpolant; its steps are the same either way.
 
 ``flow_many`` runs many fixed-horizon flows as one lockstep batch over
 packed columns (torchode, Lienen & Günnemann, arXiv:2210.12375), with
@@ -157,11 +159,12 @@ def _initial_step(d0, d1, d2, h0):
 
 
 def _dense_sum(n):
-    """scipy's dense-output sum of n F rows on Python floats: a function
-    of (x, u, y, F), u = 1 - x, giving per row v of y the sum ``acc =
-    (acc + f) * m`` over that row of F from the last, m = x, u, x, ...,
-    plus v.  One comprehension generated here, as ``_rows`` generates
-    the tableau rows."""
+    """scipy's dense-output sum of n F rows: a function of (x, u, y, F),
+    u = 1 - x, giving per row v of y the sum ``acc = (acc + f) * m`` over
+    that row of F from the last, m = x, u, x, ..., plus v.  Rows of
+    Python floats read one time, numpy rows one time per column, by the
+    same operations.  One comprehension generated here, as ``_rows``
+    generates the tableau rows."""
     acc = "0.0"
     for k in reversed(range(n)):
         acc = f"({acc} + f{k}) * {'u' if (n - 1 - k) % 2 else 'x'}"
@@ -169,15 +172,16 @@ def _dense_sum(n):
     return eval(f"lambda x, u, y, F: [{acc} + v for v, {fs} in zip(y, *F)]")
 
 
-_DENSE_SUM = _dense_sum(3 + len(_dop.D))  # three F rows from the ends, then D
+_N_F = 3 + len(_dop.D)  # a step's F rows: three from the ends, then D
+_DENSE_SUM = _dense_sum(_N_F)
 
 
 class _Segment:
     """One step's interpolant on [t_old, t]: the marcher's start list
     y_old plus the rows F of ``_dense_output_impl`` as lists of Python
     floats, read by scipy's ``Dop853DenseOutput`` arithmetic in its order.
-    ``at`` reads one time; a 1-D array of times gives the (nstate, n)
-    columns, with the bits of ``at`` at each time."""
+    ``at`` runs ``_DENSE_SUM`` on those floats at one time;
+    ``Trajectory.eval_y`` runs it on gathered rows at many."""
 
     def __init__(self, t_old, t, y_old, F):
         self.t_old, self.t, self.h = t_old, t, t - t_old
@@ -187,16 +191,6 @@ class _Segment:
         """The state at time t as a list of Python floats."""
         x = (t - self.t_old) / self.h
         return _DENSE_SUM(x, 1 - x, self.y_old, self.F)
-
-    def __call__(self, ts):
-        x = ((np.asarray(ts) - self.t_old) / self.h)[:, None]
-        xs = (x, 1 - x)
-        y = np.zeros((len(x), len(self.y_old)))
-        for i, f in enumerate(np.array(self.F[::-1])):
-            y += f
-            y *= xs[i % 2]
-        y += self.y_old
-        return y.T
 
 
 @dataclass
@@ -223,8 +217,9 @@ class Trajectory:
         return self.times[-1]
 
     def eval_y(self, t) -> np.ndarray:
-        """Packed state at time t (nstate,), or at a 1-D array of times as
-        columns (nstate, n) with one interpolant call per segment hit."""
+        """Packed state at time t (nstate,) by ``_Segment.at``, or at a 1-D
+        array of times as columns (nstate, n): ``_DENSE_SUM`` on each time's
+        start and F rows, gathered from the distinct steps hit."""
         ts = np.asarray(t, dtype=float)
         inside = (self.t0 <= ts) & (ts <= self.t1)
         if not np.all(inside):
@@ -239,11 +234,14 @@ class Trajectory:
         idx = np.clip(idx, 0, len(self.segments) - 1)
         if ts.ndim == 0:
             return np.array(self.segments[idx].at(float(ts)))
-        out = np.empty((len(self.states[0]), ts.size))
-        for i in np.unique(idx):
-            sel = idx == i
-            out[:, sel] = self.segments[i](ts[sel])
-        return out
+        steps, inverse = np.unique(idx, return_inverse=True)
+        hit = [self.segments[i] for i in steps.tolist()]
+        n, nstate = len(hit), len(self.states[0])
+        t_old, h = np.reshape([(s.t_old, s.h) for s in hit], (n, 2))[inverse].T
+        y = np.reshape([s.y_old for s in hit], (n, nstate))[inverse].T
+        F = np.reshape([s.F for s in hit], (n, _N_F, nstate))[inverse].transpose(1, 2, 0)
+        x = (ts - t_old) / h
+        return np.array(_DENSE_SUM(x, 1 - x, y, F))
 
     def eval(self, t: float) -> PhasePoint:
         return self.spec.unpack(self.eval_y(t))

@@ -77,16 +77,16 @@ class Rotation:
         q = np.asarray(q, dtype=float)
         if q.shape != (4,):
             raise ValueError("quaternion must have shape (4,)")
-        if normalize:
+        with np.errstate(over="ignore"):  # an overflow is an inf norm, typed below
             n = math.sqrt(float(q @ q))
+        if normalize:
             if not math.isfinite(n):
                 raise ValueError(f"quaternion norm is not finite: {q.tolist()}")
             if n < 1e-12:
                 raise ValueError("quaternion norm too small to normalize")
             q = q / n
-        else:
-            if abs(math.sqrt(float(q @ q)) - 1.0) > _UNIT_TOL:
-                raise ValueError("quaternion is not unit length")
+        elif abs(n - 1.0) > _UNIT_TOL:
+            raise ValueError("quaternion is not unit length")
         self.q = _canonical_quat(q)
         self.q.flags.writeable = False
 

@@ -476,7 +476,9 @@ def _with_quat(doc, quat):
     (_with_quat(BALL_CONFIG, [1e-300, 0, 0, 0]), _NO_ROTATION),
     (dict(BALL_CONFIG, initial_state=_ZERO_BALL),
      r" is not a phase point: \(a, a_dot\) = 0 is outside"),
-], ids=["zero-quat", "tiny-quat", "zero-ball"])
+    (_with_quat(RIGID_CONFIG, [1e200, 0, 0, 0]),
+     r"\.quat is not a rotation: quaternion norm is not finite"),
+], ids=["zero-quat", "tiny-quat", "zero-ball", "huge-quat"])
 def test_an_invalid_initial_state_exits_2_and_writes_nothing(tmp_path, capsys,
                                                              command, doc, where):
     config = write_config(tmp_path, doc)

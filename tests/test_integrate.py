@@ -39,6 +39,7 @@ from reconphase.integrate import (
     _period_search,
     _Section,
     _Segment,
+    Trajectory,
     brentq,
     find_reduced_period,
     flow,
@@ -466,18 +467,43 @@ def test_dense_eval_out_of_span(ball, mball):
         traj.eval_y(np.array([-0.1, 0.5]))
 
 
-def test_dense_eval_on_arrays_equals_scalar_calls(ball, mball):
+def _period_trajectory(ball, rigid, system):
+    """The trajectory of one period search: the README ball orbit, the same
+    start on a cubic profile, or rigid [1,2,3] with omega (1, 0.2, 0.3)."""
+    if system == "rigid":
+        spec, m = rigid, rigid_point(rigid, Rotation.identity(), (1.0, 0.2, 0.3))
+    else:
+        spec = ball if system == "ball" else make_ball_system(
+            SurfaceProfile((0.1, 0.3, 0.05), gravity=2.0, inertia_ratio=0.5),
+            annulus=(0.1, 3.0))
+        m = ball_point(spec, (0.9, -0.2), (0.1, 0.35), w=0.4)
+    return _period_search(spec, m, spec.defaults)
+
+
+def test_dense_eval_on_arrays_equals_scalar_calls(ball, mball, rigid):
+    # an array of times reads the bytes of one call per time: on a 5 s
+    # flow at unsorted times, with repeats and both ends of the span, and
+    # on the period trajectories of the README ball, a cubic ball and
+    # rigid [1,2,3] (9 and 7 state rows) at the nodes, the mid-steps and
+    # the closest approach's 512-time grid; no times read (nstate, 0)
     traj = flow_trajectory(ball, mball, 5.0)
     nodes = np.array(traj.times)
     interior = 0.3 * nodes[:-1] + 0.7 * nodes[1:]
     rng = np.random.default_rng(4)
-    # unsorted, with repeats and both ends of the span
     ts = np.concatenate(
         [nodes[::-1], interior, [traj.t0, traj.t1, traj.t0], rng.uniform(0.0, 5.0, 40)]
     )
-    ys = traj.eval_y(ts)
-    assert ys.shape == (ball.nstate, ts.size)
-    assert np.array_equal(ys, np.column_stack([traj.eval_y(t) for t in ts]))
+    cases = [(traj, ts)]
+    for system in ("ball", "ball_cubic", "rigid"):
+        result, traj = _period_trajectory(ball, rigid, system)
+        nodes = np.array(traj.times)
+        grid = np.linspace(0.0, result.tau, 512) % result.tau
+        cases += [(traj, nodes), (traj, 0.5 * (nodes[:-1] + nodes[1:])), (traj, grid)]
+        assert traj.eval_y(np.array([])).shape == (traj.spec.nstate, 0)
+    for traj, ts in cases:
+        ys = traj.eval_y(ts)
+        assert ys.shape == (traj.spec.nstate, ts.size)
+        assert ys.tobytes() == np.column_stack([traj.eval_y(t) for t in ts]).tobytes()
 
 
 def test_dense_eval_on_arrays_without_steps(rigid, mrigid):
@@ -536,25 +562,25 @@ def test_phase_bits_and_work_are_pinned(ball, rigid, system, tau, theta, quat, c
 def test_the_one_time_reader_has_the_array_forms_bits(ball, rigid, system):
     # the period search reads sigma at one time on floats (scan,
     # refinement, closure); the closest approach reads array columns: at
-    # the nodes, mid-step and the 17 scan times of every step of one
-    # period, the two forms read the same bits
-    if system == "rigid":
-        spec, m = rigid, rigid_point(rigid, Rotation.identity(), (1.0, 0.2, 0.3))
-    else:
-        spec = ball if system == "ball" else make_ball_system(
-            SurfaceProfile((0.1, 0.3, 0.05), gravity=2.0, inertia_ratio=0.5),
-            annulus=(0.1, 3.0))
-        m = ball_point(spec, (0.9, -0.2), (0.1, 0.35), w=0.4)
-    _, traj = _period_search(spec, m, spec.defaults)
+    # the start, mid-step and the 16 scan times before the end of every
+    # step of one period, read as one array, the two forms read the same
+    # bits
+    _, traj = _period_trajectory(ball, rigid, system)
     assert len(traj.segments) == traj.n_accepted > 20
+    ts, expected = [], []
     for seg in traj.segments:
-        ts = np.linspace(seg.t_old, seg.t, 17).tolist()
-        ts += [seg.t_old, 0.5 * (seg.t_old + seg.t), seg.t]
-        columns = seg(np.array(ts)).T.tolist()
-        for t, column in zip(ts, columns):
-            y = seg.at(t)
-            assert all(type(v) is float for v in y)
-            assert [v.hex() for v in y] == [v.hex() for v in column]
+        times = np.linspace(seg.t_old, seg.t, 17).tolist()[:-1]
+        times += [seg.t_old, 0.5 * (seg.t_old + seg.t)]
+        ts += times
+        expected += [seg.at(t) for t in times]
+    # a step's end time is the next step's start, read there, but the last
+    ts.append(seg.t)
+    expected.append(seg.at(seg.t))
+    columns = traj.eval_y(np.array(ts)).T.tolist()
+    assert len(columns) == len(expected)
+    for y, column in zip(expected, columns):
+        assert all(type(v) is float for v in y)
+        assert [v.hex() for v in y] == [v.hex() for v in column]
 
 
 def _scan_marks(section, seg):
@@ -611,7 +637,9 @@ def test_a_skipped_step_keeps_one_sign_on_a_fine_grid(ball, rigid, kind):
         section = _Section(spec, rp0, v0n / np.linalg.norm(v0n))
         if not section.may_cross(y.tolist(), F.tolist()):
             skipped += 1
-            vals = section(_Segment(0.0, 1.0, y, F)(np.linspace(0.0, 1.0, 513)))
+            seg = _Segment(0.0, 1.0, y.tolist(), F.tolist())
+            traj = Trajectory(spec, [0.0, 1.0], [seg.y_old, seg.at(1.0)], [seg])
+            vals = section(traj.eval_y(np.linspace(0.0, 1.0, 513)))
             assert np.all(vals > 0.0) or np.all(vals < 0.0)
     assert 500 < skipped < 1400
 

@@ -83,12 +83,19 @@ def test_quaternion_canonicalization():
     ([math.nan, 0.0, 0.0, 0.0], "quaternion norm is not finite: [nan, 0.0, 0.0, 0.0]"),
     ([1.0, math.inf, 0.0, 0.0], "quaternion norm is not finite: [1.0, inf, 0.0, 0.0]"),
     ([1e-13, 0.0, 0.0, 0.0], "quaternion norm too small to normalize"),
+    # its norm overflows: typed, with no RuntimeWarning first
+    ([1e200, 0.0, 0.0, 0.0], "quaternion norm is not finite: [1e+200, 0.0, 0.0, 0.0]"),
 ])
 def test_quaternion_that_cannot_be_normalized(q, message):
     # a state whose integration blew up reads as not finite, not as small
     with pytest.raises(ValueError) as exc:
         Rotation(np.array(q))
     assert str(exc.value) == message
+
+
+def test_a_huge_quaternion_is_not_unit_length():
+    with pytest.raises(ValueError, match="^quaternion is not unit length$"):
+        Rotation(np.array([1e200, 0.0, 0.0, 0.0]), normalize=False)
 
 
 def test_compose_apply_consistency():

@@ -67,20 +67,21 @@ def test_scipy_keeps_the_step_after_a_retry_with_zero_error(systems):
 @pytest.mark.parametrize("kind", ["ball", "rigid"])
 def test_the_dense_output_is_scipys(systems, kind):
     # every segment of one recorded period, at single times read on floats
-    # (the nodes, a scan time, a mid-step time) and at time arrays
+    # (the nodes, a scan time, a mid-step time) and at arrays of times in
+    # [t_old, t) read through the trajectory
     spec, m = systems[kind]
-    segments = phase(spec, m)._trajectory.segments
-    assert len(segments) > 20
-    for seg in segments:
+    traj = phase(spec, m)._trajectory
+    assert len(traj.segments) > 20
+    for seg in traj.segments:
         ref = rk.Dop853DenseOutput(seg.t_old, seg.t, np.array(seg.y_old),
                                    np.array(seg.F))
         assert (seg.t_old, seg.t) == (ref.t_old, ref.t)
         ts = np.linspace(seg.t_old, seg.t, 17)
         for t in (seg.t_old, float(ts[5]), 0.5 * (seg.t_old + seg.t), seg.t):
             assert np.array(seg.at(t)).tobytes() == ref(t).tobytes()
-        for times in (ts, ts[3:4], np.array([seg.t, seg.t_old])):
-            assert seg(times).shape == (spec.nstate, times.size)
-            assert seg(times).tobytes() == ref(times).tobytes()
+        for times in (ts[:-1], ts[3:4], np.array([ts[9], seg.t_old])):
+            assert traj.eval_y(times).shape == (spec.nstate, times.size)
+            assert traj.eval_y(times).tobytes() == ref(times).tobytes()
 
 
 def _random_functions(rng):
