@@ -11,11 +11,12 @@ a required ``system`` block::
       "output":      {"dir": "out"}
     }
 
-``_RULES`` maps each key of each block to the rule its value must meet;
-an unknown block or key is an error.  A number is a JSON integer or
-float no larger in magnitude than the largest float: ``true``, ``NaN``,
-``Infinity`` and literals that overflow (``1e400``, a 401-digit
-integer) are not numbers.  ``sampling.seed`` is an integer in
+``_RULES`` holds one table per ``system.kind``, mapping each key of each
+block to the rule its value must meet, and ``_REQUIRED`` names the keys
+the kind needs.  An unknown block or key is an error, and so is a key
+of the other kind.  A number is a JSON integer or float no larger in
+magnitude than the largest float: ``true``, ``NaN``, ``Infinity`` and
+literals that overflow (``1e400``, a 401-digit integer) are not numbers.  ``sampling.seed`` is an integer in
 ``[0, 2**64)`` and ``sampling.count`` an integer >= 1.  The first
 violation is a :class:`ConfigError` that names its ``$.block.key`` path.
 
@@ -63,30 +64,36 @@ def _is_number(v) -> bool:
 _NUMBER = (_is_number, "a finite number")
 _POSITIVE = (lambda v: _is_number(v) and v > 0, "a finite number > 0")
 
-_RULES = {
-    "system": {
-        "kind": (lambda v: v in (BALL, RIGID), f"{BALL!r} or {RIGID!r}"),
-        "profile": (1, 8, _NUMBER),
-        "gravity": _POSITIVE,
-        "mass": _POSITIVE,
-        "inertia_ratio": _POSITIVE,
-        "annulus": (2, 2, _POSITIVE),
-        "inertia": (3, 3, _POSITIVE),
-    },
+_KIND = (lambda v: v in (BALL, RIGID), f"{BALL!r} or {RIGID!r}")
+_QUAT = (4, 4, _NUMBER)
+_SHARED = {
     "integration": {f.name: _POSITIVE for f in fields(IntegrationDefaults)},
     "sampling": {
         "seed": (lambda v: type(v) is int and 0 <= v < 2**64,
                  "an integer, minimum 0, below 2**64"),
         "count": (lambda v: type(v) is int and v >= 1, "an integer, minimum 1"),
     },
-    "initial_state": {
-        "a": (2, 2, _NUMBER),
-        "a_dot": (2, 2, _NUMBER),
-        "w": _NUMBER,
-        "quat": (4, 4, _NUMBER),
-        "omega": (3, 3, _NUMBER),
-    },
     "output": {"dir": (lambda v: type(v) is str, "a string")},
+}
+
+_RULES = {
+    BALL: dict(
+        _SHARED,
+        system={"kind": _KIND, "profile": (1, 8, _NUMBER), "gravity": _POSITIVE,
+                "mass": _POSITIVE, "inertia_ratio": _POSITIVE,
+                "annulus": (2, 2, _POSITIVE)},
+        initial_state={"a": (2, 2, _NUMBER), "a_dot": (2, 2, _NUMBER),
+                       "w": _NUMBER, "quat": _QUAT},
+    ),
+    RIGID: dict(
+        _SHARED,
+        system={"kind": _KIND, "inertia": (3, 3, _POSITIVE)},
+        initial_state={"omega": (3, 3, _NUMBER), "quat": _QUAT},
+    ),
+}
+_REQUIRED = {
+    BALL: {"system": ("profile",), "initial_state": ("a", "a_dot")},
+    RIGID: {"system": ("inertia",), "initial_state": ("omega",)},
 }
 
 _ENV_KNOBS = {
@@ -113,7 +120,6 @@ def load_config(path: str) -> dict:
     except ValueError as e:  # an integer literal past Python's digit limit
         raise ConfigError(f"config {path!r}: {e}") from e
     _check_rules(raw, path)
-    _check_cross_fields(raw, path)
     return raw
 
 
@@ -125,16 +131,27 @@ def _check_rules(raw, path: str):
         raise invalid("$", "is not an object")
     if "system" not in raw:
         raise invalid("$.system", "is required")
+    if type(raw["system"]) is not dict:
+        raise invalid("$.system", "is not an object")
+    if "kind" not in raw["system"]:
+        raise invalid("$.system.kind", "is required")
+    kind = raw["system"]["kind"]
+    test, what = _KIND
+    if not test(kind):
+        raise invalid("$.system.kind", f"is not {what}")
+    required = _REQUIRED[kind]
     for block, values in raw.items():
-        if block not in _RULES:
+        rules = _RULES[kind].get(block)
+        if rules is None:
             raise invalid(f"$.{block}", "is not a config block")
         if type(values) is not dict:
             raise invalid(f"$.{block}", "is not an object")
+        whose = f"{block} for kind {kind!r}" if block in required else block
         for key, value in values.items():
             where = f"$.{block}.{key}"
-            rule = _RULES[block].get(key)
+            rule = rules.get(key)
             if rule is None:
-                raise invalid(where, f"is not a key of {block}")
+                raise invalid(where, f"is not a key of {whose}")
             items = {where: value}
             if len(rule) == 3:
                 n_min, n_max, rule = rule
@@ -146,38 +163,9 @@ def _check_rules(raw, path: str):
             for at, v in items.items():
                 if not test(v):
                     raise invalid(at, f"is not {what}")
-    if "kind" not in raw["system"]:
-        raise invalid("$.system.kind", "is required")
-
-
-def _check_cross_fields(raw: dict, path: str):
-    kind = raw["system"]["kind"]
-    sys_block = raw["system"]
-    if kind == BALL:
-        if "profile" not in sys_block:
-            raise ConfigError(f"config {path!r}: ball system requires system.profile")
-        if "inertia" in sys_block:
-            raise ConfigError(f"config {path!r}: system.inertia is rigid-only")
-    else:
-        if "inertia" not in sys_block:
-            raise ConfigError(f"config {path!r}: rigid system requires system.inertia")
-        for key in ("profile", "gravity", "mass", "inertia_ratio", "annulus"):
-            if key in sys_block:
-                raise ConfigError(f"config {path!r}: system.{key} is ball-only")
-    state = raw.get("initial_state")
-    if state is not None:
-        if kind == BALL and not {"a", "a_dot"} <= set(state):
-            raise ConfigError(
-                f"config {path!r}: ball initial_state requires a and a_dot"
-            )
-        if kind == RIGID and "omega" not in state:
-            raise ConfigError(
-                f"config {path!r}: rigid initial_state requires omega"
-            )
-        if kind == RIGID and ("a" in state or "a_dot" in state or "w" in state):
-            raise ConfigError(
-                f"config {path!r}: a/a_dot/w in initial_state are ball-only"
-            )
+        for key in required.get(block, ()):
+            if key not in values:
+                raise invalid(f"$.{block}.{key}", f"is required for kind {kind!r}")
 
 
 def resolve_config(raw: dict, seed: Optional[int] = None,
@@ -220,22 +208,16 @@ def resolve_config(raw: dict, seed: Optional[int] = None,
 
 
 def build_system(resolved: dict) -> SystemSpec:
-    """Construct the SystemSpec a resolved configuration describes."""
-    sys_block = resolved["system"]
+    """Construct the SystemSpec a resolved configuration describes.  Only
+    the keys the file gives are passed, so the defaults stay those of
+    SurfaceProfile and make_ball_system."""
+    block = dict(resolved["system"])
     defaults = IntegrationDefaults(**resolved["integration"])
-    if sys_block["kind"] == BALL:
-        profile = SurfaceProfile(
-            tuple(sys_block["profile"]),
-            gravity=sys_block.get("gravity", 1.0),
-            mass=sys_block.get("mass", 1.0),
-            inertia_ratio=sys_block.get("inertia_ratio", 0.4),
-        )
-        return make_ball_system(
-            profile,
-            annulus=tuple(sys_block.get("annulus", (0.2, 2.5))),
-            defaults=defaults,
-        )
-    return make_rigid_body(sys_block["inertia"], defaults=defaults)
+    if block.pop("kind") == RIGID:
+        return make_rigid_body(block["inertia"], defaults=defaults)
+    extra = {"annulus": tuple(block.pop("annulus"))} if "annulus" in block else {}
+    profile = SurfaceProfile(tuple(block.pop("profile")), **block)
+    return make_ball_system(profile, defaults=defaults, **extra)
 
 
 def build_initial_state(resolved: dict, spec: SystemSpec) -> PhasePoint:

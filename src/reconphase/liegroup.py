@@ -77,11 +77,15 @@ class Rotation:
         q = np.asarray(q, dtype=float)
         if q.shape != (4,):
             raise ValueError("quaternion must have shape (4,)")
-        with np.errstate(over="ignore"):  # an overflow is an inf norm, typed below
-            n = math.sqrt(float(q @ q))
-        if normalize:
-            if not math.isfinite(n):
+        # on Python floats an overflow or a NaN is an inf or NaN sum, not
+        # a RuntimeWarning; only a finite sum reaches q @ q
+        w, x, y, z = q.tolist()
+        if not math.isfinite(w * w + x * x + y * y + z * z):
+            if normalize:
                 raise ValueError(f"quaternion norm is not finite: {q.tolist()}")
+            raise ValueError("quaternion is not unit length")
+        n = math.sqrt(float(q @ q))
+        if normalize:
             if n < 1e-12:
                 raise ValueError("quaternion norm too small to normalize")
             q = q / n

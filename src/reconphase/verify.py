@@ -189,6 +189,25 @@ def _keep_sample(spec: SystemSpec, m: PhasePoint) -> bool:
         return False
 
 
+def _sample(spec: SystemSpec, n: int, budget: int, draw):
+    """The sampler loop: ``draw(k)`` makes one candidate for the k-th
+    point, or None when it rejects its own draw, and a candidate that
+    ``_keep_sample`` admits is kept, until n points are kept or the
+    ``budget`` of draws is spent."""
+    out = []
+    draws = 0
+    while len(out) < n:
+        if draws == budget:
+            raise SamplerExhaustedError(
+                f"{spec.kind} sampler accepted {len(out)} of {n} points in "
+                f"{budget} draws", n_accepted=len(out), budget=budget)
+        draws += 1
+        m = draw(len(out))
+        if m is not None and _keep_sample(spec, m):
+            out.append(m)
+    return out
+
+
 def sample_ball(spec: SystemSpec, rng, n: int):
     """Ball-system initial conditions with contact radius in [0.5, 1.5]
     and moderate speeds/spins: the energy stays below the potential wall
@@ -196,28 +215,21 @@ def sample_ball(spec: SystemSpec, rng, n: int):
     whose orbit leaves the domain inward (near-radial motion passing
     close to the chart singularity at the axis) or whose phase is
     singular are rejected and redrawn."""
-    out = []
-    budget = draws = 60 * n
-    while len(out) < n:
-        if draws == 0:
-            raise SamplerExhaustedError(
-                f"ball sampler accepted {len(out)} of {n} points in "
-                f"{budget} draws", n_accepted=len(out), budget=budget)
-        draws -= 1
+
+    def draw(_):
         r = rng.uniform(0.5, 1.5)
         psi = rng.uniform(0.0, TWO_PI)
         speed = rng.uniform(0.15, 0.6)
         chi = rng.uniform(0.0, TWO_PI)
-        m = ball_point(
+        return ball_point(
             spec,
             a=(r * math.cos(psi), r * math.sin(psi)),
             a_dot=(speed * math.cos(chi), speed * math.sin(chi)),
             Q=_random_rotation(rng),
             w=float(rng.uniform(-0.6, 0.6)),
         )
-        if _keep_sample(spec, m):
-            out.append(m)
-    return out
+
+    return _sample(spec, n, 60 * n, draw)
 
 
 def _family_margin(inertia, L) -> float:
@@ -245,30 +257,20 @@ def sample_rigid(spec: SystemSpec, rng, n: int, margin: float = 0.12):
     # a sphere has no family at all: then no draw passes the margin
     signs = [positive for positive, exists in ((True, lo < mid), (False, mid < hi))
              if exists] or [True]
-    out = []
-    budget = draws = 200 * n
-    while len(out) < n:
-        if draws == 0:
-            raise SamplerExhaustedError(
-                f"rigid sampler accepted {len(out)} of {n} points in "
-                f"{budget} draws", n_accepted=len(out), budget=budget)
-        draws -= 1
+
+    def draw(k):
         u = rng.normal(size=3)
         u /= np.linalg.norm(u)
         if min(np.linalg.norm(u - mid_axis), np.linalg.norm(u + mid_axis)) < 0.35:
-            continue
+            return None
         L = float(rng.uniform(0.8, 1.5))
         omega = L * u / spec.inertia
         kappa = rigid_family_margin(spec, omega)
-        if abs(kappa) < margin:
-            continue
-        if (kappa > 0) != signs[len(out) % len(signs)]:
-            continue
-        m = rigid_point(spec, _random_rotation(rng), omega)
-        if not _keep_sample(spec, m):
-            continue
-        out.append(m)
-    return out
+        if abs(kappa) < margin or (kappa > 0) != signs[k % len(signs)]:
+            return None
+        return rigid_point(spec, _random_rotation(rng), omega)
+
+    return _sample(spec, n, 200 * n, draw)
 
 
 def sample_points(spec: SystemSpec, rng, n: int):

@@ -67,11 +67,27 @@ def test_load_config_missing_file():
     "mutate, fragment",
     [
         (lambda d: d.pop("system"), "required"),
-        (lambda d: d["system"].pop("profile"), "requires system.profile"),
+        (lambda d: d["system"].pop("profile"),
+         "system.profile is required for kind 'ball'"),
         (lambda d: d["system"].__setitem__("gravity", -1.0), "gravity"),
-        (lambda d: d["system"].__setitem__("inertia", [1, 2, 3]), "rigid-only"),
+        (lambda d: d["system"].__setitem__("inertia", [1, 2, 3]),
+         "system.inertia is not a key of system for kind 'ball'"),
         (lambda d: d.__setitem__("extra_block", {}), "extra_block"),
-        (lambda d: d["initial_state"].pop("a_dot"), "a and a_dot"),
+        (lambda d: d["initial_state"].pop("a_dot"),
+         "initial_state.a_dot is required for kind 'ball'"),
+        # a key of the other kind is an unknown key of its block
+        (lambda d: d["initial_state"].__setitem__("omega", [5, 5, 5]),
+         "initial_state.omega is not a key of initial_state for kind 'ball'"),
+        (lambda d: d.update(system={"kind": "rigid", "inertia": [1.0, 2.0, 3.0]},
+                            initial_state={"omega": [1.1, 0.12, 0.18], "w": 0.4}),
+         "initial_state.w is not a key of initial_state for kind 'rigid'"),
+        (lambda d: d.update(system={"kind": "rigid", "inertia": [1.0, 2.0, 3.0]},
+                            initial_state={"omega": [1.1, 0.12, 0.18], "a": [0.9, 0.0]}),
+         "initial_state.a is not a key of initial_state for kind 'rigid'"),
+        (lambda d: d.update(system={"kind": "rigid", "inertia": [1.0, 2.0, 3.0],
+                                    "annulus": [0.2, 2.5]},
+                            initial_state={"omega": [1.1, 0.12, 0.18]}),
+         "system.annulus is not a key of system for kind 'rigid'"),
         (
             lambda d: d["sampling"].__setitem__("seed", -3),
             "minimum",
@@ -99,12 +115,18 @@ def test_load_config_schema_rejections(tmp_path, mutate, fragment):
 def test_rigid_cross_field_rules(tmp_path):
     doc = json.loads(json.dumps(RIGID_CONFIG))
     doc["system"]["profile"] = [0.0, 1.0]
-    with pytest.raises(ConfigError, match="ball-only"):
+    with pytest.raises(ConfigError,
+                       match="system.profile is not a key of system for kind 'rigid'"):
         cfg.load_config(write_config(tmp_path, doc))
+    assert run_cli("phase", "--config", write_config(tmp_path, doc), "--out",
+                   str(tmp_path)) == 2
     doc = json.loads(json.dumps(RIGID_CONFIG))
     del doc["initial_state"]["omega"]
-    with pytest.raises(ConfigError, match="requires omega"):
+    with pytest.raises(ConfigError,
+                       match="initial_state.omega is required for kind 'rigid'"):
         cfg.load_config(write_config(tmp_path, doc))
+    assert run_cli("phase", "--config", write_config(tmp_path, doc), "--out",
+                   str(tmp_path)) == 2
 
 
 def test_resolve_fills_defaults_and_applies_overrides():
@@ -461,7 +483,7 @@ def test_sweep_error_rows_are_marked(tmp_path):
 
 
 _ZERO_BALL = dict(BALL_CONFIG["initial_state"], a=[0, 0], a_dot=[0, 0])
-_NO_ROTATION = r"\.quat is not a rotation: quaternion norm too small"
+_NO_ROTATION = r"\$\.initial_state\.quat is not a rotation: quaternion norm too small"
 
 
 def _with_quat(doc, quat):
@@ -475,16 +497,20 @@ def _with_quat(doc, quat):
     (_with_quat(RIGID_CONFIG, [0, 0, 0, 0]), _NO_ROTATION),
     (_with_quat(BALL_CONFIG, [1e-300, 0, 0, 0]), _NO_ROTATION),
     (dict(BALL_CONFIG, initial_state=_ZERO_BALL),
-     r" is not a phase point: \(a, a_dot\) = 0 is outside"),
+     r"\$\.initial_state is not a phase point: \(a, a_dot\) = 0 is outside"),
     (_with_quat(RIGID_CONFIG, [1e200, 0, 0, 0]),
-     r"\.quat is not a rotation: quaternion norm is not finite"),
-], ids=["zero-quat", "tiny-quat", "zero-ball", "huge-quat"])
+     r"\$\.initial_state\.quat is not a rotation: quaternion norm is not finite"),
+    # the rigid body's omega is not a key of a ball's initial_state
+    (dict(BALL_CONFIG, initial_state=dict(BALL_CONFIG["initial_state"], omega=[5, 5, 5])),
+     r"config '[^']*': \$\.initial_state\.omega is not a key of initial_state "
+     r"for kind 'ball'"),
+], ids=["zero-quat", "tiny-quat", "zero-ball", "huge-quat", "ball-omega"])
 def test_an_invalid_initial_state_exits_2_and_writes_nothing(tmp_path, capsys,
                                                              command, doc, where):
     config = write_config(tmp_path, doc)
     out = tmp_path / "out"
     assert run_cli(*command, "--config", config, "--out", str(out)) == 2
-    assert re.match(r"config error: \$\.initial_state" + where, capsys.readouterr().err)
+    assert re.match(r"config error: " + where, capsys.readouterr().err)
     assert not out.exists()
 
 

@@ -1,8 +1,8 @@
 """The v1 outputs of the two golden configs stay byte for byte what
 ``tests/golden/`` holds.  The eight outputs other than ``verify.json``
 are regenerated here (about 0.15 s); the two ``verify.json`` files (about
-3 s) are compared by ``python tests/golden/record.py --check --commands
-verify``.  A change that moves bits records them again with
+3 s) are compared, with the other eight, by ``python
+tests/golden/record.py --check``.  A change that moves bits records them again with
 ``python tests/golden/record.py``."""
 
 import importlib.util

@@ -96,6 +96,9 @@ def test_quaternion_that_cannot_be_normalized(q, message):
 def test_a_huge_quaternion_is_not_unit_length():
     with pytest.raises(ValueError, match="^quaternion is not unit length$"):
         Rotation(np.array([1e200, 0.0, 0.0, 0.0]), normalize=False)
+    # nor is a NaN one, though |nan - 1| > tol alone is False
+    with pytest.raises(ValueError, match="^quaternion is not unit length$"):
+        Rotation(np.full(4, math.nan), normalize=False)
 
 
 def test_compose_apply_consistency():
