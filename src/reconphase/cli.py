@@ -37,7 +37,7 @@ from .errors import (
 from .integrate import flow, flow_trajectory
 from .liegroup import torus_rank
 from .reconstruct import conjugacy_residuals, phase, torus_embed
-from .verify import ALL_CHECKS, sample_points
+from .verify import ALL_CHECKS, _map_in_workers, sample_points
 
 # a period-continuity check needs a one-parameter family, not i.i.d.
 # samples, so it is driven through `sweep` output rather than `verify`
@@ -219,11 +219,13 @@ def cmd_verify(resolved: dict, checks, strict: bool) -> int:
     if checks:
         rng = np.random.default_rng(seed)
         samples = sample_points(spec, rng, count)
-        for name in checks:
-            report = ALL_CHECKS[name](
+        # sampled before the workers fork, so they share the base phases
+        reports = _map_in_workers(
+            lambda name: ALL_CHECKS[name](
                 spec, samples, _CHECK_TOLERANCES[name], seed=seed
-            )
-            reports.append(report)
+            ),
+            checks,
+        )
 
     statuses = [r.verdict for r in reports]
     failed = statuses.count("fail")

@@ -5,11 +5,14 @@ Each ``check_*`` function takes a system, a list of sample phase points,
 and a tolerance, and returns a :class:`CheckReport`.  Samples whose
 preconditions fail (no reduced period, singular phase, domain exit) are
 *skipped*, not failed; if every sample is skipped the verdict is
-``"inconclusive"`` — deliberately distinct from ``"fail"``.  Checks are
-evaluated sequentially sample by sample, which makes every report
-deterministic for a fixed seed; extra randomness a check needs (group
-elements, frame coordinates) comes from its own ``numpy`` generator
-seeded with the ``seed`` argument recorded in the report.
+``"inconclusive"`` — deliberately distinct from ``"fail"``.  A check
+evaluates its samples one after another; extra randomness it needs
+(group elements, frame coordinates) comes from its own ``numpy``
+generator seeded with the ``seed`` argument recorded in the report.
+So each report is a function of the samples and the seed alone, and
+the CLI may run the checks in forked worker processes
+(:func:`_map_in_workers`), in any order and on any number of cores,
+without changing a bit of any report.
 
 A sample's base phase is computed once per resolved integration
 settings: the sampler's admission call computes it, a weak memo keyed
@@ -29,8 +32,12 @@ genuinely cross-validates two code paths: the oracle integrates nothing.
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
+import os
+import pickle
+import sys
 import time
 import weakref
 from dataclasses import dataclass
@@ -55,6 +62,7 @@ from .errors import (
     OracleUnavailableError,
     PeriodNotFoundError,
     PhaseInconsistencyError,
+    ReconphaseError,
     SamplerExhaustedError,
 )
 from .integrate import find_reduced_period, flow
@@ -482,6 +490,146 @@ ALL_CHECKS = {
     "vf_invariance": check_vf_invariance,
     "period_continuity": check_period_continuity,
 }
+
+
+# ---------------------------------------------------------------------------
+# running checks in forked workers
+# ---------------------------------------------------------------------------
+
+class _WorkerTraceback(Exception):
+    """The traceback, as text, of an exception a forked worker raised;
+    chained as the ``__cause__`` of the copy the parent raises."""
+
+    def __str__(self):
+        return self.args[0]
+
+
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_claimed(fn, items, claims):
+    """Yield ``(i, fn(items[i]) or the exception it raised)`` for each
+    index i that ``claims`` yields, stopping after the first exception as
+    a plain loop over the items would."""
+    for i in claims:
+        try:
+            result = fn(items[i])
+        except Exception as e:  # noqa: BLE001 - re-raised by _map_in_workers
+            yield i, e
+            return
+        yield i, result
+
+
+def _worker(fn, items, claims: int, result_fd: int):
+    """A forked worker's whole life: claim indices one byte at a time from
+    the ``claims`` pipe (a one-byte read is atomic, so no two workers
+    claim the same index), run them, send each ``(i, result)`` pickled
+    through ``result_fd`` as soon as it is known, and leave by
+    ``os._exit``, which flushes no inherited buffer and runs no atexit
+    hook."""
+    status = 1
+    try:
+        indices = (b[0] for b in iter(lambda: os.read(claims, 1), b""))
+        with os.fdopen(result_fd, "wb") as fh:
+            for i, result in _run_claimed(fn, items, indices):
+                if isinstance(result, Exception):
+                    import traceback  # only here: the CLI import does not load it
+                    # a pickled exception loses its traceback; send it as text
+                    result._worker_traceback = "".join(
+                        traceback.format_exception(result))
+                pickle.dump((i, result), fh)
+                fh.flush()
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _in_workers(fn, items, n_workers: int) -> dict:
+    """Run ``fn`` on ``items`` in ``n_workers`` forked processes that claim
+    indices from one pipe filled in advance.  Returns ``{i: result or
+    exception}``; an index whose worker died before sending its result
+    holds a :class:`ReconphaseError` naming the item and the exit status.
+    Every worker is reaped before this returns or raises, and killed
+    first when the parent leaves early (an exception or an interrupt)."""
+    claims, feed = os.pipe()
+    os.write(feed, bytes(range(len(items))))
+    os.close(feed)
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pids, readers, payloads = [], [], None
+    try:
+        for _ in range(n_workers):
+            read_fd, write_fd = os.pipe()
+            readers.append(os.fdopen(read_fd, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _worker(fn, items, claims, write_fd)
+            finally:
+                os.close(write_fd)
+            pids.append(pid)
+        # read every pipe to its end before waiting: a worker blocked on a
+        # full pipe would never exit
+        payloads = [fh.read() for fh in readers]
+    finally:
+        os.close(claims)
+        for fh in readers:
+            fh.close()
+        statuses = []
+        for pid in pids:
+            if payloads is None:
+                import signal  # only here: the CLI import does not load it
+                os.kill(pid, signal.SIGKILL)
+            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    results = {}
+    for data in payloads:
+        records = io.BytesIO(data)
+        try:
+            while records.tell() < len(data):
+                i, result = pickle.load(records)
+                results[i] = result
+        except (pickle.UnpicklingError, EOFError):
+            pass  # a record cut short by its worker's death
+    dead = ", ".join(str(s) for s in statuses if s != 0)
+    for i, item in enumerate(items):
+        if i not in results:
+            results[i] = ReconphaseError(
+                f"no result for {item!r}: worker exit status {dead}")
+    return results
+
+
+def _map_in_workers(fn, items) -> list:
+    """``[fn(item) for item in items]`` with the calls shared among forked
+    worker processes, one per usable core and at most one per item, so
+    ``fn`` may read (never change for the next call) what the caller
+    built before.  The results come back in input order.  When calls
+    raise, the exception of the lowest-index item is raised, as the loop
+    would, with its payload attributes (it travels pickled) and, from a
+    worker, the worker's traceback as its ``__cause__``.
+
+    With one usable core, one item or no ``os.fork``, the same claim loop
+    runs in this process.  There may be at most 256 items (an index is
+    one byte); ``fn`` must not return an exception, and its results and
+    exceptions must pickle."""
+    items = list(items)
+    n_workers = min(_usable_cores(), len(items))
+    if n_workers < 2 or not hasattr(os, "fork"):
+        results = dict(_run_claimed(fn, items, range(len(items))))
+    else:
+        results = _in_workers(fn, items, n_workers)
+    out = []
+    for i in range(len(items)):
+        result = results[i]
+        if isinstance(result, BaseException):
+            text = result.__dict__.pop("_worker_traceback", None)
+            if text:
+                result.__cause__ = _WorkerTraceback(text)
+            raise result
+        out.append(result)
+    return out
 
 
 # ---------------------------------------------------------------------------

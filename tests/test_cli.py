@@ -17,7 +17,9 @@ import pytest
 import reconphase.cli as cli
 import reconphase.config as cfg
 import reconphase.integrate as integrate
+import reconphase.verify as verify
 from reconphase import BALL, ConfigError, IntegrationDefaults
+from reconphase.errors import SectionRefinementError
 from reconphase.reconstruct import conjugacy_residuals, phase, torus_embed
 from reconphase.verify import CheckReport
 
@@ -407,6 +409,54 @@ def test_verify_check_failure_exits_one(tmp_path, monkeypatch):
     doc = json.loads((tmp_path / "verify.json").read_text())
     assert doc["reports"][0]["verdict"] == "fail"
     assert doc["config"]["integration"]["rtol"] == 1e-2
+
+
+def _run_cli_process(*argv, **kwargs):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "reconphase.cli", *argv], env=env,
+                          capture_output=True, text=True, check=True, **kwargs)
+
+
+def test_verify_prints_its_summary_once(tmp_path):
+    # a worker that flushed its inherited stdout buffer, or returned into
+    # the CLI instead of leaving by os._exit, would print a second line
+    config = write_config(tmp_path, RIGID_CONFIG)
+    run = _run_cli_process("verify", "--config", config, "--checks", "all",
+                           "--out", str(tmp_path))
+    assert run.stdout.count("verify: ") == 1
+    assert run.stdout.startswith("verify: 7/7 passed")
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_verify_check_error_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch,
+                                                       cores):
+    def refinement_fails(spec, samples, tol, seed=None):
+        raise SectionRefinementError("section crossing in [1.0, 2.0] was not refined")
+
+    # the forked workers inherit the patched check table
+    monkeypatch.setitem(cli.ALL_CHECKS, "flower_invariants", refinement_fails)
+    monkeypatch.setattr(verify, "_usable_cores", lambda: cores)
+    config = write_config(tmp_path, RIGID_CONFIG)
+    out = tmp_path / "o"
+    assert run_cli("verify", "--config", config, "--checks", "all",
+                   "--out", str(out)) == 3
+    assert capsys.readouterr().err == ("runtime error: SectionRefinementError: section "
+                                       "crossing in [1.0, 2.0] was not refined\n")
+    assert not (out / "verify.json").exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+@pytest.mark.parametrize("doc", [BALL_CONFIG, RIGID_CONFIG], ids=["ball", "rigid"])
+def test_verify_json_does_not_depend_on_the_cores(tmp_path, doc):
+    config = write_config(tmp_path, doc)
+    cpu = min(os.sched_getaffinity(0))
+    outputs = []
+    for pin in (None, lambda: os.sched_setaffinity(0, {cpu})):
+        _run_cli_process("verify", "--config", config, "--checks", "all",
+                         "--out", str(tmp_path), preexec_fn=pin)
+        outputs.append((tmp_path / "verify.json").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_strict_turns_inconclusive_into_failure(tmp_path, monkeypatch):

@@ -2,6 +2,8 @@ import gc
 import itertools
 import json
 import math
+import os
+import time
 import weakref
 from dataclasses import replace
 
@@ -17,6 +19,7 @@ from reconphase.dynsys import (
 )
 import reconphase.verify as verify
 from reconphase.errors import (
+    IntegrationError,
     OracleUnavailableError,
     PhaseInconsistencyError,
     ReconphaseError,
@@ -450,6 +453,66 @@ def test_base_phase_memo_is_freed_with_the_samples(rigid_spec, monkeypatch):
     gc.collect()
     # the memo holds neither the result nor the point it is keyed by
     assert ref() is None and point_ref() is None
+
+
+# ---------------------------------------------------------------------------
+# checks in forked workers
+# ---------------------------------------------------------------------------
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def two_workers(monkeypatch):
+    # two workers whatever the machine has, so the forked path always runs
+    monkeypatch.setattr(verify, "_usable_cores", lambda: 2)
+
+
+def test_worker_results_come_back_in_input_order(two_workers):
+    def slow_square(x):
+        time.sleep(0.02 * (5 - x))  # the first items are the slowest
+        return x * x, os.getpid()
+
+    out = verify._map_in_workers(slow_square, range(6))
+    assert [v for v, _ in out] == [x * x for x in range(6)]
+    assert os.getpid() not in {pid for _, pid in out}
+    _assert_no_child_left()
+
+
+def test_lowest_index_error_is_raised_with_its_payload(two_workers):
+    def fail_two_and_four(i):
+        if i == 2:
+            time.sleep(0.2)  # item 4's error arrives first
+        if i in (2, 4):
+            raise IntegrationError(f"item {i} failed", last_state=np.array([i, 0.5]),
+                                   t=float(i))
+        return i
+
+    with pytest.raises(IntegrationError, match="item 2 failed") as exc:
+        verify._map_in_workers(fail_two_and_four, range(6))
+    assert exc.value.t == 2.0
+    assert exc.value.last_state.tolist() == [2.0, 0.5]
+    # the worker's traceback names the frame that raised
+    assert "in fail_two_and_four" in str(exc.value.__cause__)
+    assert not hasattr(exc.value, "_worker_traceback")
+    _assert_no_child_left()
+
+
+def test_a_worker_dying_without_a_result_is_a_typed_error(two_workers):
+    def die_on_b(item):
+        if item == "b":
+            os._exit(7)
+        return item
+
+    with pytest.raises(ReconphaseError, match="no result for 'b': worker exit status 7"):
+        verify._map_in_workers(die_on_b, ["a", "b", "c"])
+    _assert_no_child_left()
+
+
+def test_one_item_runs_in_the_calling_process(two_workers):
+    assert verify._map_in_workers(lambda _: os.getpid(), ["only"]) == [os.getpid()]
 
 
 # ---------------------------------------------------------------------------
