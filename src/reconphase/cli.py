@@ -22,6 +22,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -39,19 +40,8 @@ from .liegroup import torus_rank
 from .reconstruct import conjugacy_residuals, phase, torus_embed
 from .verify import ALL_CHECKS, _map_in_workers, sample_points
 
-# a period-continuity check needs a one-parameter family, not i.i.d.
-# samples, so it is driven through `sweep` output rather than `verify`
-CLI_CHECKS = tuple(k for k in ALL_CHECKS if k != "period_continuity")
-
-_CHECK_TOLERANCES = {
-    "phase_conserved": 5e-7,
-    "equivariance": 5e-7,
-    "linearization": 1e-6,
-    "flower_invariants": 1e-6,
-    "delta_integral": 1e-6,
-    "frequency_flower_constancy": 1e-7,
-    "vf_invariance": 5e-7,
-}
+# each check at its default tol, its acceptance bound
+CLI_CHECKS = tuple(ALL_CHECKS)
 
 TORUS_PROBE = 0.37  # flow fraction used for the grid conjugacy residual
 
@@ -212,6 +202,9 @@ def cmd_verify(resolved: dict, checks, strict: bool) -> int:
             "(period continuity is a family property: export a family with "
             "`sweep` and use reconphase.verify.check_period_continuity)"
         )
+    repeated = [c for c, n in Counter(checks).items() if n > 1]
+    if repeated:
+        raise ConfigError(f"checks named more than once: {repeated}")
     spec = cfg.build_system(resolved)
     seed = resolved["sampling"]["seed"]
     count = resolved["sampling"]["count"]
@@ -221,10 +214,7 @@ def cmd_verify(resolved: dict, checks, strict: bool) -> int:
         samples = sample_points(spec, rng, count)
         # sampled before the workers fork, so they share the base phases
         reports = _map_in_workers(
-            lambda name: ALL_CHECKS[name](
-                spec, samples, _CHECK_TOLERANCES[name], seed=seed
-            ),
-            checks,
+            lambda name: ALL_CHECKS[name](spec, samples, seed=seed), checks
         )
 
     statuses = [r.verdict for r in reports]
@@ -336,8 +326,8 @@ def cmd_sweep(resolved: dict, param: str, values) -> int:
 
 
 def _parse_values(text: str):
-    """lo:hi:n (inclusive linspace) or a comma-separated list; every
-    value, given or generated, must be finite."""
+    """lo:hi:n (inclusive linspace) or a comma-separated list of at least
+    one value; every value, given or generated, must be finite."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -348,6 +338,8 @@ def _parse_values(text: str):
         values = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
     else:
         values = [float(tok) for tok in text.split(",") if tok]
+        if not values:
+            raise argparse.ArgumentTypeError("--values needs at least one value")
     if not all(map(math.isfinite, values)):
         raise argparse.ArgumentTypeError(f"--values {text} gives a value that "
                                          "is not finite")

@@ -472,13 +472,14 @@ def _lockstep(spec: SystemSpec, ys, ts, rtol, atol):
     return out, errors
 
 
-def flow_many(spec: SystemSpec, ys, ts, rtol=None, atol=None) -> np.ndarray:
+def flow_many(spec: SystemSpec, ys, ts) -> np.ndarray:
     """End states of forward flows from the packed states given as the
     columns of ``ys`` (nstate, n), column j to its own time ``ts[j] >= 0``,
     as an (nstate, n) array.
 
     Each column is its own integration by its own marcher, with
-    ``flow()``'s rule and settings, stepped in lockstep with the others
+    ``flow()``'s rule at the system's ``spec.defaults`` (the settings of
+    a ``flow()`` given no override), stepped in lockstep with the others
     (see the module docstring): it ends on the bits of ``flow()`` from its
     start, whatever else shares its batch.  A zero horizon returns the
     start state.  If columns fail, the lowest-index one's IntegrationError
@@ -494,7 +495,7 @@ def flow_many(spec: SystemSpec, ys, ts, rtol=None, atol=None) -> np.ndarray:
         raise ValueError("flow_many needs finite times ts >= 0")
     if not np.all(np.isfinite(ys)):
         raise ValueError("flow_many needs finite states")
-    s = spec.defaults.override(rtol=rtol, atol=atol)
+    s = spec.defaults
     # a field that turns non-finite gives the block sums inf and nan, as
     # it gives the marcher's floats, without a warning
     with np.errstate(over="ignore", invalid="ignore"):

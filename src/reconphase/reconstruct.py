@@ -232,18 +232,16 @@ def torus_embed(
     return flower_frame(spec, p, alpha, h_beta)
 
 
-def conjugacy_residuals(
-    spec: SystemSpec, p: PhaseResult, chart, t_fracs, rtol=None, atol=None
-) -> np.ndarray:
+def conjugacy_residuals(spec: SystemSpec, p: PhaseResult, chart, t_fracs) -> np.ndarray:
     """Commuting-square residuals of the torus chart: entry (i, j) is the
     distance of a fresh flow of ``chart[i] = (alpha, beta, x)``, x =
     torus_embed(spec, p, alpha, beta), over ``t_fracs[j]`` periods from
     the chart point at (alpha + tf, beta + tf eta).  The flows run as one
-    ``flow_many`` batch at ``rtol``/``atol``."""
+    ``flow_many`` batch at the system's ``spec.defaults``."""
     grid = list(itertools.product(chart, t_fracs))
     ys = np.column_stack([x.y for (_, _, x), _ in grid])
     ts = np.array([tf * p.tau for _, tf in grid])
-    ends = flow_many(spec, ys, ts, rtol=rtol, atol=atol)
+    ends = flow_many(spec, ys, ts)
     residuals = [
         state_distance(
             spec.unpack(y_end), torus_embed(spec, p, al + tf, be + tf * p.eta)

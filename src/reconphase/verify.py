@@ -2,10 +2,11 @@
 independent rigid-body rotation-angle oracle.
 
 Each ``check_*`` function takes a system, a list of sample phase points,
-and a tolerance, and returns a :class:`CheckReport`.  Samples whose
-preconditions fail (no reduced period, singular phase, domain exit) are
-*skipped*, not failed; if every sample is skipped the verdict is
-``"inconclusive"`` — deliberately distinct from ``"fail"``.  A check
+and a tolerance, by default the check's acceptance bound, and returns a
+:class:`CheckReport`.  Samples whose preconditions fail (no reduced
+period, singular phase, domain exit) are *skipped*, not failed; if every
+sample is skipped the verdict is ``"inconclusive"`` — deliberately
+distinct from ``"fail"``.  A check
 evaluates its samples one after another; extra randomness it needs
 (group elements, frame coordinates) comes from its own ``numpy``
 generator seeded with the ``seed`` argument recorded in the report.
@@ -14,14 +15,16 @@ the CLI may run the checks in forked worker processes
 (:func:`_map_in_workers`), in any order and on any number of cores,
 without changing a bit of any report.
 
-A sample's base phase is computed once per resolved integration
-settings: the sampler's admission call computes it, a weak memo keyed
-by the phase point keeps it while the point lives, and every check run
-with the same settings receives that result (read-only, so no check can
-change it for the next).  A check run with other settings, such as the
-crude-tolerance negative control of ``check_linearization``, computes
-its own.  The phases a check compares against the base (flowed,
-translated, framed points) are always fresh computations.
+Every check integrates at its system's ``spec.defaults``; a check at
+other settings is a check of another system, such as the negative
+control's crude one, ``replace(spec, defaults=...)``, whose sample
+points are ``PhasePoint(m.y, crude)``.  A sample's base phase is
+computed once: the sampler's admission call computes it, a weak memo
+keyed by the phase point (which belongs to one system) keeps it while
+the point lives, and every check receives that result (read-only, so no
+check can change it for the next).  The phases a check compares against
+the base (flowed, translated, framed points) are always fresh
+computations.
 
 The rotation-angle oracle (:func:`montgomery_oracle`) re-derives the
 rigid body's per-period rotation about its spatial momentum axis from
@@ -172,19 +175,17 @@ def _random_group_element(spec: SystemSpec, rng) -> GroupElement:
     return GroupElement(theta, _random_rotation(rng), spec.group)
 
 
-# base phases by point (held weakly), then by resolved settings
+# base phases by point, held weakly
 _BASE_PHASES = weakref.WeakKeyDictionary()
 
 
-def _base_phase(spec: SystemSpec, m: PhasePoint, **kw):
-    """The phase of m with the settings ``kw`` resolve to, computed once
-    per point and resolved settings and kept in ``_BASE_PHASES``, so the
-    sampler and every check of a sample share it.  A failure is not kept."""
-    key = spec.defaults.override(**kw)
-    phases = _BASE_PHASES.setdefault(m, {})
-    p = phases.get(key)
+def _base_phase(spec: SystemSpec, m: PhasePoint):
+    """The phase of m, computed once per point and kept in
+    ``_BASE_PHASES``, so the sampler and every check of a sample share
+    it.  A failure is not kept."""
+    p = _BASE_PHASES.get(m)
     if p is None:
-        p = phases[key] = phase(spec, m, **kw)
+        p = _BASE_PHASES[m] = phase(spec, m)
     return p
 
 
@@ -289,15 +290,14 @@ def sample_points(spec: SystemSpec, rng, n: int):
 # the named checks
 # ---------------------------------------------------------------------------
 
-def _run_check(name, spec, samples, tol, seed, desc, residual, base="torus",
-               **phase_kwargs) -> CheckReport:
+def _run_check(name, spec, samples, tol, seed, desc, residual, base="torus") -> CheckReport:
     """Shared driver of the sample checks: times the run, seeds the
     check's own generator and applies the skip policy.
 
     ``residual(m, p, rng)`` yields the residuals of one sample, with ``p``
-    the base phase of m (``_base_phase`` with ``phase_kwargs``), or None
-    when ``base`` is None; the sample scores the largest of them (NaN if
-    any is NaN), or 0.0 when it yields none.  A
+    the base phase of m (``_base_phase``), or None when ``base`` is None;
+    the sample scores the largest of them (NaN if any is NaN), or 0.0
+    when it yields none.  A
     :class:`PhaseInconsistencyError` is the sample's score instead; a
     recoverable failure, or a singular base phase when
     ``base == "torus"``, skips the sample.
@@ -307,7 +307,7 @@ def _run_check(name, spec, samples, tol, seed, desc, residual, base="torus",
     residuals, skipped = [], 0
     for m in samples:
         try:
-            p = None if base is None else _base_phase(spec, m, **phase_kwargs)
+            p = None if base is None else _base_phase(spec, m)
             if base == "torus" and not p.regular:
                 skipped += 1
                 continue
@@ -319,7 +319,8 @@ def _run_check(name, spec, samples, tol, seed, desc, residual, base="torus",
     return _finish(name, spec, desc, residuals, skipped, tol, seed, t0)
 
 
-def check_phase_conserved(spec, samples, tol, seed=None, fractions=(0.2, 0.7, 1.5, 3.1)) -> CheckReport:
+def check_phase_conserved(spec, samples, tol=5e-7, seed=None,
+                          fractions=(0.2, 0.7, 1.5, 3.1)) -> CheckReport:
     """The phase is constant along the flow: recomputing it anywhere on
     the orbit returns the same group element and the same period."""
     def residual(m, p, rng):
@@ -333,7 +334,7 @@ def check_phase_conserved(spec, samples, tol, seed=None, fractions=(0.2, 0.7, 1.
                       base="phase")
 
 
-def check_equivariance(spec, samples, tol, seed=None, n_group=5) -> CheckReport:
+def check_equivariance(spec, samples, tol=5e-7, seed=None, n_group=5) -> CheckReport:
     """Conjugation equivariance: the phase of a translated point is the
     translated phase, gamma(g.m) = g gamma(m) g^-1."""
     def residual(m, p, rng):
@@ -348,19 +349,13 @@ def check_equivariance(spec, samples, tol, seed=None, n_group=5) -> CheckReport:
                       base="phase")
 
 
-def check_linearization(spec, samples, tol, seed=None, rtol=None, atol=None,
-                        tol_closure=None, tol_phase=None) -> CheckReport:
+def check_linearization(spec, samples, tol=1e-6, seed=None) -> CheckReport:
     """The torus chart conjugates the flow to a linear flow: the
     commuting-square residual (``conjugacy_residuals``) of flow-then-embed
-    vs embed-then-shift on an (alpha, beta, t) grid.
-
-    ``rtol``/``atol`` (with matching ``tol_closure``/``tol_phase``
-    loosening) exist so a deliberately corrupted flow can be fed through
-    the same code path as a negative control.  They set the integration
-    of the base phase, whose period trajectory every chart point is read
-    from, and of the fresh flows on the left-hand side of the square (one
-    ``flow_many`` batch per sample, each column its own integration).
-    """
+    vs embed-then-shift on an (alpha, beta, t) grid.  Every chart point is
+    read from the base phase's period trajectory; the left-hand side of
+    the square is one ``flow_many`` batch per sample, each column its own
+    integration."""
     alphas = (0.0, 1.0 / 3.0, 2.0 / 3.0)
     t_fracs = (0.15, 0.45, 0.75)
 
@@ -370,16 +365,13 @@ def check_linearization(spec, samples, tol, seed=None, rtol=None, atol=None,
         if rank == 2:
             betas[2] = np.array([0.7, 0.2])
         chart = [(al, be, torus_embed(spec, p, al, be)) for al in alphas for be in betas]
-        yield float(
-            conjugacy_residuals(spec, p, chart, t_fracs, rtol=rtol, atol=atol).max()
-        )
+        yield float(conjugacy_residuals(spec, p, chart, t_fracs).max())
 
     desc = f"{len(samples)} initial conditions x 3x3x3 (alpha, beta, t) grid"
-    return _run_check("linearization", spec, samples, tol, seed, desc, residual,
-                      rtol=rtol, atol=atol, tol_phase=tol_phase, tol_closure=tol_closure)
+    return _run_check("linearization", spec, samples, tol, seed, desc, residual)
 
 
-def check_flower_invariants(spec, samples, tol, seed=None, n_frames=6) -> CheckReport:
+def check_flower_invariants(spec, samples, tol=1e-6, seed=None, n_frames=6) -> CheckReport:
     """Every flower frame J_m(alpha, g), carried on by a fresh flow of
     half a period, lands on the reduced orbit of m: the flower projects
     to a single reduced periodic orbit.  The frame point is read off m's
@@ -396,7 +388,7 @@ def check_flower_invariants(spec, samples, tol, seed=None, n_frames=6) -> CheckR
     return _run_check("flower_invariants", spec, samples, tol, seed, desc, residual)
 
 
-def check_delta_integral(spec, samples, tol, seed=None) -> CheckReport:
+def check_delta_integral(spec, samples, tol=1e-6, seed=None) -> CheckReport:
     """delta is an integral of motion, constant on petals: it is preserved
     along the flow, under torus translation, and by the petal-swapping
     Weyl flip; the flip itself lands on a different petal (binary
@@ -419,7 +411,8 @@ def check_delta_integral(spec, samples, tol, seed=None) -> CheckReport:
     return _run_check("delta_integral", spec, samples, tol, seed, desc, residual)
 
 
-def check_frequency_flower_constancy(spec, samples, tol, seed=None, n_frames=4) -> CheckReport:
+def check_frequency_flower_constancy(spec, samples, tol=1e-7, seed=None,
+                                     n_frames=4) -> CheckReport:
     """All points of one flower share the frequency vector (modulo the
     branch lattice): frequencies depend only on the reduced orbit.  A
     frame phase is conjugate to the regular base phase, so a singular
@@ -438,7 +431,7 @@ def check_frequency_flower_constancy(spec, samples, tol, seed=None, n_frames=4) 
     )
 
 
-def check_vf_invariance(spec, samples, tol, seed=None, n_group=5) -> CheckReport:
+def check_vf_invariance(spec, samples, tol=5e-7, seed=None, n_group=5) -> CheckReport:
     """The vector field is symmetric: pushing it forward by any group
     element reproduces it at the translated point."""
     def residual(m, p, rng):
@@ -480,6 +473,8 @@ def check_period_continuity(spec, family, tol=1.0, seed=None, jump_factor=10.0) 
     return _finish("period_continuity", spec, desc, ratios, skipped, tol, seed, t0)
 
 
+# the sample checks, which ``reconphase verify`` runs at their default
+# tol; check_period_continuity takes a family, not samples
 ALL_CHECKS = {
     "phase_conserved": check_phase_conserved,
     "equivariance": check_equivariance,
@@ -488,7 +483,6 @@ ALL_CHECKS = {
     "delta_integral": check_delta_integral,
     "frequency_flower_constancy": check_frequency_flower_constancy,
     "vf_invariance": check_vf_invariance,
-    "period_continuity": check_period_continuity,
 }
 
 

@@ -16,12 +16,14 @@ integrator is degraded (11)."""
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from reconphase import (
     GroupElement,
+    PhasePoint,
     Rotation,
     SurfaceProfile,
     act,
@@ -287,18 +289,24 @@ def test_criterion_10_period_varies_continuously_along_energy_sweep(ball_spec):
 def test_criterion_11_degraded_tolerance_breaks_the_suite(
     ball_spec, rigid_spec, ball_samples, rigid_samples
 ):
-    """Negative control: at integration tolerance 1e-2 the defining
-    property (criterion 01) and the torus-chart linearization (criterion
-    04) both fail, so the green suite carries information.  The closure
-    and consistency guards are loosened here so the corrupted flow is
-    allowed to produce an answer instead of raising."""
-    crude = dict(rtol=1e-2, atol=1e-2, tol_closure=0.5, tol_phase=np.inf)
+    """Negative control: on a crude system, one that integrates at
+    tolerance 1e-2, the defining property (criterion 01) and the
+    torus-chart linearization (criterion 04) both fail, so the green
+    suite carries information.  The crude system's closure and
+    consistency guards are loosened so the corrupted flow is allowed to
+    produce an answer instead of raising."""
 
-    for spec, samples in ((ball_spec, ball_samples), (rigid_spec, rigid_samples)):
+    def crude(spec, samples):
+        system = replace(spec, defaults=spec.defaults.override(
+            rtol=1e-2, atol=1e-2, tol_closure=0.5, tol_phase=np.inf))
+        return system, [PhasePoint(m.y, system) for m in samples]
+
+    for spec, samples in (crude(ball_spec, ball_samples[:6]),
+                          crude(rigid_spec, rigid_samples[:6])):
         n_pass = n_fail = 0
-        for m in samples[:6]:
+        for m in samples:
             try:
-                p = phase(spec, m, **crude)
+                p = phase(spec, m)
             except (IntegrationError, NotPeriodicError, PeriodNotFoundError,
                     PhaseInconsistencyError):
                 n_fail += 1  # could not even produce a phase
@@ -310,9 +318,8 @@ def test_criterion_11_degraded_tolerance_breaks_the_suite(
         assert n_pass == 0, f"{spec.kind}: corrupted flow met the 1e-6 bound"
         assert n_fail >= 5
 
-    broken = check_linearization(rigid_spec, rigid_samples[:5], 1e-6,
-                                 seed=SEED, **crude)
+    broken = check_linearization(*crude(rigid_spec, rigid_samples[:5]), 1e-6, seed=SEED)
     assert broken.verdict == "fail" and broken.max_residual > 1e-6
-    broken_ball = check_linearization(ball_spec, ball_samples[:5], 1e-6,
-                                      seed=SEED, **crude)
+    broken_ball = check_linearization(*crude(ball_spec, ball_samples[:5]), 1e-6,
+                                      seed=SEED)
     assert broken_ball.verdict != "pass"

@@ -395,6 +395,19 @@ def test_verify_unknown_check_is_config_error(tmp_path, capsys):
     assert "unknown checks" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("names", [["vf_invariance", "linearization", "vf_invariance"],
+                                   ["vf_invariance"] * 257], ids=["repeat", "257"])
+def test_verify_a_check_named_twice_is_config_error(tmp_path, capsys, names):
+    # one report per check; a repeat would also map more items to the
+    # forked workers than one claim byte can index
+    config = write_config(tmp_path, RIGID_CONFIG)
+    out = tmp_path / "o"
+    assert run_cli("verify", "--config", config, "--checks", ",".join(names),
+                   "--out", str(out)) == 2
+    assert "checks named more than once: ['vf_invariance']" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_check_failure_exits_one(tmp_path, monkeypatch):
     # corrupt the integrator through the documented env knobs; the
     # linearization check must then fail, not pass or skip
@@ -431,7 +444,7 @@ def test_verify_prints_its_summary_once(tmp_path):
 @pytest.mark.parametrize("cores", [1, 2])
 def test_verify_check_error_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch,
                                                        cores):
-    def refinement_fails(spec, samples, tol, seed=None):
+    def refinement_fails(spec, samples, tol=1e-6, seed=None):
         raise SectionRefinementError("section crossing in [1.0, 2.0] was not refined")
 
     # the forked workers inherit the patched check table
@@ -460,7 +473,7 @@ def test_verify_json_does_not_depend_on_the_cores(tmp_path, doc):
 
 
 def test_strict_turns_inconclusive_into_failure(tmp_path, monkeypatch):
-    def inconclusive_check(spec, samples, tol, seed=None):
+    def inconclusive_check(spec, samples, tol=5e-7, seed=None):
         return CheckReport(
             name="vf_invariance", system=spec.kind, sample_description="stub",
             max_residual=None, tolerance=tol, verdict="inconclusive",
@@ -723,6 +736,9 @@ def test_values_parser():
     assert cli._parse_values("0.5,2.5") == [0.5, 2.5]
     with pytest.raises(Exception):
         cli._parse_values("0:1")
+    for text in ("", ","):
+        with pytest.raises(argparse.ArgumentTypeError, match="at least one value"):
+            cli._parse_values(text)
     # given or generated: -1e308:1e308:3 overflows its span to [nan, inf, inf]
     for text in ("nan", "inf", "0.5,-inf", "0:inf:3", "-1e308:1e308:3"):
         with pytest.raises(argparse.ArgumentTypeError, match="not finite"):

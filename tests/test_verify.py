@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from reconphase.dynsys import (
+    PhasePoint,
     SurfaceProfile,
     ball_point,
     make_ball_system,
@@ -180,8 +181,19 @@ def test_reports_deterministic_and_idempotent(ball_spec, ball_samples):
     assert a.to_dict() == b.to_dict()
 
 
-def test_empty_samples_are_inconclusive(ball_spec):
+def test_each_check_defaults_to_its_acceptance_bound(ball_spec):
+    # the table verify runs, in its order; a report's tolerance is the
+    # check's default tol
+    bounds = {"phase_conserved": 5e-7, "equivariance": 5e-7, "linearization": 1e-6,
+              "flower_invariants": 1e-6, "delta_integral": 1e-6,
+              "frequency_flower_constancy": 1e-7, "vf_invariance": 5e-7}
+    assert list(ALL_CHECKS) == list(bounds)
     for name, fn in ALL_CHECKS.items():
+        assert fn(ball_spec, []).tolerance == bounds[name], name
+
+
+def test_empty_samples_are_inconclusive(ball_spec):
+    for name, fn in [*ALL_CHECKS.items(), ("period_continuity", check_period_continuity)]:
         rep = fn(ball_spec, [], 1e-6)
         assert rep.verdict == "inconclusive", name
         assert rep.max_residual is None
@@ -194,8 +206,6 @@ def test_unperiodic_samples_are_skipped(rigid_spec, rigid_samples):
     equilibrium = rigid_point(rigid_spec, Rotation.identity(), (0.9, 0.0, 0.0))
     samples = [rigid_samples[0], equilibrium]
     for name, fn in ALL_CHECKS.items():
-        if name == "period_continuity":
-            continue
         rep = fn(rigid_spec, samples, 1.0, seed=0)
         if name == "vf_invariance":
             assert (rep.n_samples, rep.n_skipped) == (2, 0), name
@@ -289,11 +299,17 @@ def test_period_continuity_detects_separatrix_spike(rigid_spec):
     assert rep.verdict == "fail"
 
 
+def _crude(spec, samples):
+    """The negative control's crude system, which integrates at tolerance
+    1e-2 with its closure and consistency guards loosened, and the
+    samples as its points."""
+    system = replace(spec, defaults=spec.defaults.override(
+        rtol=1e-2, atol=1e-2, tol_closure=0.5, tol_phase=np.inf))
+    return system, [PhasePoint(m.y, system) for m in samples]
+
+
 def test_negative_control_corrupted_flow_fails(rigid_spec, rigid_samples):
-    rep = check_linearization(
-        rigid_spec, rigid_samples[:2], 1e-6, seed=3,
-        rtol=1e-2, atol=1e-2, tol_closure=0.5, tol_phase=np.inf,
-    )
+    rep = check_linearization(*_crude(rigid_spec, rigid_samples[:2]), 1e-6, seed=3)
     assert rep.verdict == "fail"
     assert rep.max_residual > 1e-4
 
@@ -399,7 +415,6 @@ def test_wrong_petal_verdict_scores_one(rigid_spec, rigid_samples, monkeypatch):
 PHASE_CHECKS = (check_phase_conserved, check_equivariance, check_linearization,
                 check_flower_invariants, check_delta_integral,
                 check_frequency_flower_constancy)
-CRUDE = dict(rtol=1e-2, atol=1e-2, tol_closure=0.5, tol_phase=np.inf)
 
 
 def _spy_on_phase(monkeypatch):
@@ -433,11 +448,13 @@ def test_base_phase_is_computed_once_per_sample(rigid_spec, monkeypatch):
 def test_negative_control_computes_its_own_base(rigid_spec, monkeypatch):
     samples = sample_points(rigid_spec, np.random.default_rng(5), 2)
     calls = _spy_on_phase(monkeypatch)
-    rep = check_linearization(rigid_spec, samples, 1e-6, seed=3, **CRUDE)
+    crude, crude_samples = _crude(rigid_spec, samples)
+    rep = check_linearization(crude, crude_samples, 1e-6, seed=3)
     assert rep.verdict == "fail" and rep.max_residual > 1e-4
+    # the crude system's points are points of their own, with their own base
     assert len(calls) == len(samples)
-    assert all(m is s and kw == CRUDE for (m, kw, _), s in zip(calls, samples))
-    # the default-settings base the sampler computed is still the one kept
+    assert all(m is s and kw == {} for (m, kw, _), s in zip(calls, crude_samples))
+    # the base the sampler computed is still the one kept
     n_crude = len(calls)
     assert check_linearization(rigid_spec, samples, 1e-6, seed=3).passed
     assert len(calls) == n_crude
